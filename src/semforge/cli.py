@@ -3,7 +3,7 @@
 Exit codes separate the four kinds of endings so shell pipelines can tell an
 answered "no" from a failure to answer: 0 success or witness, 1 negative
 mathematical result (not SEM / exhausted / not compliant), 2 usage error,
-3 resource limit.
+malformed input or internal error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .product import (
 from .search import ResourceBudget, census_equal_order_size, report_json
 
 EXIT_NEGATIVE = 1
+EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
@@ -148,7 +149,29 @@ def _report_exit(report) -> None:
     sys.exit(code)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    """Keeps every ending inside the exit-code contract.
+
+    A resource limit exits 3 wherever it is raised.  Any other exception that
+    escapes a command is a malformed input no loader caught or an internal
+    error; it exits 2 so it can never read as a witness (0) or a negative
+    result (1).  Click's own exceptions and ``sys.exit`` pass through.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except ResourceLimit as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(EXIT_LIMIT)
+        except Exception as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """Construct, verify, combine, and exhaustively search super edge-magic
     labelings of graphs of equal order and size."""
@@ -203,20 +226,13 @@ def verify(graph_path, labeling_path, out):
 @main.command("search")
 @click.option("--graph", "graph_path", required=True)
 @click.option("--mode", type=click.Choice(["first", "canonical", "all"]), default="first")
-@click.option("--threads", type=int, default=1, envvar="SEMFORGE_THREADS", show_default=True)
 @click.option("--node-budget", type=int, default=None)
 @click.option("--timeout", type=float, default=None)
 @click.option("--out", default=None)
-def search_cmd(graph_path, mode, threads, node_budget, timeout, out):
+def search_cmd(graph_path, mode, node_budget, timeout, out):
     """Search for a super edge-magic labeling."""
     g = _load_graph(graph_path)
-    try:
-        report = search_mod.find_sem(
-            g, mode, _budget(node_budget, timeout), threads=threads
-        )
-    except ResourceLimit as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LIMIT)
+    report = search_mod.find_sem(g, mode, _budget(node_budget, timeout))
     _emit(json.dumps(report_json(report)) + "\n", out)
     _report_exit(report)
 
@@ -231,13 +247,9 @@ def search_cmd(graph_path, mode, threads, node_budget, timeout, out):
 def certify(graph_path, cross_check, node_budget, timeout, out):
     """Exhaust the search space; exit 1 reports a non-existence certificate."""
     g = _load_graph(graph_path)
-    try:
-        report = search_mod.certify_not_sem(
-            g, _budget(node_budget, timeout), cross_check=cross_check
-        )
-    except ResourceLimit as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LIMIT)
+    report = search_mod.certify_not_sem(
+        g, _budget(node_budget, timeout), cross_check=cross_check
+    )
     _emit(json.dumps(report_json(report)) + "\n", out)
     _report_exit(report)
 
@@ -264,11 +276,8 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
         else:
             n, k = (int(x) for x in snk.split(","))
             family = search_mod.enumerate_snk(n, k)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(f"cannot load family: {exc}")
-    except ResourceLimit as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LIMIT)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        raise click.UsageError(f"cannot load family: {exc!r}")
     if assignment_path is not None:
         try:
             assignment = parse_assignment(Path(assignment_path).read_text())
@@ -305,9 +314,6 @@ def census(order_, node_budget, timeout, out):
         entries = census_equal_order_size(order_, _budget(node_budget, timeout))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    except ResourceLimit as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LIMIT)
     lines = [
         json.dumps({"p": g.order, "edges": [list(e) for e in g.sorted_edges], "sem": sem})
         for g, sem in entries
@@ -382,9 +388,6 @@ def explore(params, node_budget, timeout, out):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    except ResourceLimit as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LIMIT)
     _emit(json.dumps(report_json(report)) + "\n", out)
     _report_exit(report)
 

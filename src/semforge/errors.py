@@ -28,7 +28,8 @@ class LabelingFailed(SemforgeError):
 
 
 class BadAssignment(SemforgeError):
-    """An arc-to-member assignment does not cover every arc of the host digraph."""
+    """An arc-to-member assignment does not name exactly the arcs of the host
+    digraph, or maps an arc to a member the family lacks."""
 
 
 class VerificationFailed(SemforgeError):

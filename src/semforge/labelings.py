@@ -24,7 +24,10 @@ class VertexLabeling:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(self.labels)
+        bad = [x for x in labels if type(x) is not int]
+        if bad:
+            raise ValueError(f"labels must be integers, got {bad[0]!r}")
         if sorted(labels) != list(range(1, len(labels) + 1)):
             raise ValueError(
                 f"labels must be a bijection onto [1,{len(labels)}], got {labels}"
@@ -232,8 +235,12 @@ def labeling_json_text(g: Graph, labeling: VertexLabeling) -> str:
 
 
 def labeling_from_json(data: dict) -> VertexLabeling:
+    if not isinstance(data, dict):
+        raise ValueError(f"a labeling is a JSON object, got {type(data).__name__}")
     labels = data["labels"]
+    if not isinstance(labels, list):
+        raise ValueError(f"labels must be a list, got {type(labels).__name__}")
     p = data.get("p", len(labels))
-    if p != len(labels):
+    if type(p) is not int or p != len(labels):
         raise ValueError(f"labeling claims p={p} but carries {len(labels)} labels")
     return VertexLabeling(tuple(labels))

@@ -93,6 +93,9 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     missing = [arc for arc in host.sorted_arcs if arc not in assignment]
     if missing:
         raise BadAssignment(f"assignment misses host arcs {missing}")
+    if len(assignment) != len(host.arcs):
+        extra = sorted(arc for arc in assignment if arc not in host.arcs)
+        raise BadAssignment(f"assignment names arcs not in the host: {extra}")
     arcs = set()
     for a, b in host.sorted_arcs:
         idx = assignment[(a, b)]
@@ -245,6 +248,8 @@ def parse_assignment(text: str) -> dict:
         if len(parts) != 3:
             raise ValueError(f"malformed assignment line: {raw!r}")
         a, b, idx = (int(x) for x in parts)
+        if (a, b) in assignment:
+            raise ValueError(f"duplicate assignment for arc ({a},{b}): {raw!r}")
         assignment[(a, b)] = idx
     return assignment
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ResourceLimit
@@ -79,10 +78,6 @@ class _Abort(Exception):
     pass
 
 
-class _Superseded(Exception):
-    pass
-
-
 def _degree_order(g: Graph) -> list:
     return sorted(range(1, g.order + 1), key=lambda v: (-g.degree(v), v))
 
@@ -109,16 +104,13 @@ def _sem_backtrack(
     mode: str,
     budget: ResourceBudget,
     deadline: float,
-    *,
-    first_label: int | None = None,
-    stop_check=None,
 ):
     """Depth-first search over bijections with sum pruning.
 
     A partial assignment dies when an induced sum repeats or when the spread
     of placed sums can no longer fit inside any window of q consecutive
     integers.  Returns ``(status, witnesses, nodes)`` where status is
-    WITNESS/EXHAUSTED/ABORTED or "stopped" when ``stop_check`` fired.
+    WITNESS/EXHAUSTED/ABORTED.
     """
     p, q = g.order, g.size
     partners, loops = _prepare(g, verts)
@@ -139,18 +131,14 @@ def _sem_backtrack(
             return not collect_all
         row = partners[t]
         has_loop = loops[t]
-        candidates = (first_label,) if (t == 0 and first_label is not None) else range(1, p + 1)
-        for lab in candidates:
+        for lab in range(1, p + 1):
             if used[lab]:
                 continue
             nodes += 1
             if nodes > max_nodes:
                 raise _Abort
-            if nodes & 1023 == 0:
-                if time.monotonic() > deadline:
-                    raise _Abort
-                if stop_check is not None and stop_check():
-                    raise _Superseded
+            if nodes & 1023 == 0 and time.monotonic() > deadline:
+                raise _Abort
             nlo, nhi = lo, hi
             added = []
             ok = True
@@ -197,47 +185,7 @@ def _sem_backtrack(
         extend(0, sentinel_lo, sentinel_hi)
     except _Abort:
         return ABORTED, witnesses, nodes
-    except _Superseded:
-        return "stopped", witnesses, nodes
     return (WITNESS if witnesses else EXHAUSTED), witnesses, nodes
-
-
-def _parallel_sem(g, verts, mode, budget, deadline, threads):
-    """Branch-parallel exploration split on the first position's label.
-
-    The merge is canonical: the witness comes from the smallest first-label
-    branch holding one, all-mode concatenates in branch order, and exhaustion
-    needs every branch exhausted, so results are identical to the serial run
-    (apart from node counts) whenever budgets do not fire.
-    """
-    p = g.order
-    flags = [False] * (p + 1)
-
-    def run(lab0: int):
-        stop_check = None
-        if mode in ("first", "canonical"):
-            stop_check = lambda: any(flags[1:lab0])  # noqa: E731
-        status, wits, nodes = _sem_backtrack(
-            g, verts, mode, budget, deadline, first_label=lab0, stop_check=stop_check
-        )
-        if wits:
-            flags[lab0] = True
-        return status, wits, nodes
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, range(1, p + 1)))
-    nodes = sum(n for _, _, n in results)
-    if mode == "all":
-        if any(status == ABORTED for status, _, _ in results):
-            return ABORTED, [], nodes
-        wits = [w for _, ws, _ in results for w in ws]
-        return (WITNESS if wits else EXHAUSTED), wits, nodes
-    for status, wits, _ in results:
-        if wits:
-            return WITNESS, [wits[0]], nodes
-    if any(status in (ABORTED, "stopped") for status, _, _ in results):
-        return ABORTED, [], nodes
-    return EXHAUSTED, [], nodes
 
 
 def find_sem(
@@ -245,7 +193,6 @@ def find_sem(
     mode: str = "first",
     budget: ResourceBudget | None = None,
     *,
-    threads: int = 1,
     max_order: int | None = None,
 ) -> SearchReport:
     """Search for a SEM labeling of g.
@@ -267,10 +214,7 @@ def find_sem(
     verts = _degree_order(g) if mode == "first" else list(range(1, g.order + 1))
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    if threads > 1 and g.order >= 2:
-        status, wits, nodes = _parallel_sem(g, verts, mode, budget, deadline, threads)
-    else:
-        status, wits, nodes = _sem_backtrack(g, verts, mode, budget, deadline)
+    status, wits, nodes = _sem_backtrack(g, verts, mode, budget, deadline)
     elapsed = time.monotonic() - start
     for w in wits:
         ok, _ = is_sem(g, w)

@@ -141,6 +141,17 @@ class TestVerify:
         assert result.exit_code == 2
         assert "bijection" in result.output
 
+    @pytest.mark.parametrize(
+        "payload", [{"labels": [1.9, 2, 3]}, {"labels": "123"}, [1, 2, 3]]
+    )
+    def test_malformed_labeling_exits_two(self, runner, tmp_path, payload):
+        gpath = tmp_path / "c3.txt"
+        lpath = tmp_path / "bad.json"
+        gpath.write_text(format_graph(cycle_graph(3)))
+        lpath.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["verify", "--graph", str(gpath), "--labeling", str(lpath)])
+        assert result.exit_code == 2
+
 
 class TestSearchCommand:
     def test_witness_exit_zero(self, runner, tmp_path):
@@ -162,20 +173,21 @@ class TestSearchCommand:
         )
         assert result.exit_code == 3
 
-    def test_threads_flag(self, runner, two_stars_file):
-        result = runner.invoke(
-            main, ["search", "--graph", str(two_stars_file), "--threads", "3"]
-        )
-        assert result.exit_code == 1
+    def test_order_bound_exit_three(self, runner, tmp_path):
+        gpath = tmp_path / "big.txt"
+        gpath.write_text(format_graph(star_with_loop(29)))
+        result = runner.invoke(main, ["search", "--graph", str(gpath)])
+        assert result.exit_code == 3
+        assert "exceeds" in result.output
 
-    def test_threads_env_default(self, runner, two_stars_file):
-        result = runner.invoke(
-            main,
-            ["search", "--graph", str(two_stars_file)],
-            env={"SEMFORGE_THREADS": "2"},
-        )
-        assert result.exit_code == 1
-        assert json.loads(result.output)["outcome"] == "exhausted"
+    def test_internal_error_exits_two(self, runner, two_stars_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("searcher produced a witness rejected by is_sem")
+
+        monkeypatch.setattr("semforge.search.find_sem", broken)
+        result = runner.invoke(main, ["search", "--graph", str(two_stars_file)])
+        assert result.exit_code == 2
+        assert "RuntimeError" in result.output
 
 
 class TestCertifyCommand:
@@ -241,6 +253,32 @@ class TestProductCommand:
             ["product", "--graph", str(hpath), "--snk", "2,2",
              "--assignment", str(apath)],
         )
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "lines", ["1 2 0\n1 2 0\n2 3 0\n3 1 0\n", "1 2 0\n2 3 0\n3 1 0\n2 1 0\n"]
+    )
+    def test_duplicate_or_stray_assignment_usage_error(self, runner, tmp_path, lines):
+        host = indegree_one_orientation(cycle_graph(3))
+        hpath = tmp_path / "host.txt"
+        hpath.write_text(format_digraph(host))
+        apath = tmp_path / "assign.txt"
+        apath.write_text(lines)
+        result = runner.invoke(
+            main,
+            ["product", "--graph", str(hpath), "--snk", "2,2",
+             "--assignment", str(apath)],
+        )
+        assert result.exit_code == 2
+
+    def test_family_json_without_n_usage_error(self, runner, tmp_path):
+        hpath = tmp_path / "host.txt"
+        hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+        fam = save_family(enumerate_snk(2, 2), tmp_path / "fam")
+        meta = json.loads((fam / "family.json").read_text())
+        del meta["n"]
+        (fam / "family.json").write_text(json.dumps(meta))
+        result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
         assert result.exit_code == 2
 
     def test_family_source_required(self, runner, tmp_path):

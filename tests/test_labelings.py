@@ -62,6 +62,11 @@ class TestVertexLabeling:
         with pytest.raises(ValueError):
             VertexLabeling((1, 3))
 
+    @pytest.mark.parametrize("labels", [(1.9, 2, 3), (1.0, 2.0), ("1", "2"), (True, 2)])
+    def test_rejects_non_integers(self, labels):
+        with pytest.raises(ValueError):
+            VertexLabeling(labels)
+
     def test_identity(self):
         assert identity_labeling(3).labels == (1, 2, 3)
 
@@ -261,3 +266,26 @@ class TestLabelingJson:
             labeling_from_json({"p": 2, "labels": [1, 1]})
         with pytest.raises(ValueError):
             labeling_from_json({"p": 3, "labels": [1, 2]})
+        with pytest.raises(ValueError):
+            labeling_from_json({"labels": [1.9, 2, 3]})
+        with pytest.raises(ValueError):
+            labeling_from_json({"labels": "123"})
+        with pytest.raises(ValueError):
+            labeling_from_json({"p": True, "labels": [1]})
+        with pytest.raises(ValueError):
+            labeling_from_json([1, 2, 3])
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-1, 4) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.sampled_from(["p", "labels"]), inner, max_size=2),
+            max_leaves=8,
+        )
+    )
+    def test_from_json_parses_or_rejects(self, data):
+        try:
+            lab = labeling_from_json(data)
+        except (ValueError, KeyError):
+            return
+        assert sorted(lab.labels) == list(range(1, lab.order + 1))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semforge.errors import BadAssignment, BadParam, NotSem
 from semforge.families import (
@@ -89,6 +91,13 @@ class TestOtimesH:
         host = oriented_cycle(3)
         with pytest.raises(BadAssignment):
             otimes_h(host, {(1, 2): 0}, S22)
+
+    def test_extra_arc_rejected(self):
+        host = oriented_cycle(3)
+        assignment = constant_assignment(host)
+        assignment[(2, 1)] = 0
+        with pytest.raises(BadAssignment):
+            otimes_h(host, assignment, S22)
 
     def test_member_index_out_of_range(self):
         with pytest.raises(BadAssignment):
@@ -256,3 +265,13 @@ class TestFamilyIO:
     def test_assignment_parse_errors(self):
         with pytest.raises(ValueError):
             parse_assignment("1 2\n")
+        with pytest.raises(ValueError):
+            parse_assignment("1 2 0\n1 2 0\n")
+
+    @given(st.text(alphabet="012 -#x\n", max_size=30))
+    def test_assignment_parses_or_rejects(self, text):
+        try:
+            assignment = parse_assignment(text)
+        except ValueError:
+            return
+        assert parse_assignment(format_assignment(assignment)) == assignment
