@@ -1,6 +1,13 @@
 """Backtracking search for super edge-magic labelings, exhaustive
 non-existence certification, family enumeration, and small censuses.
 
+The SEM search (``_sem_backtrack``) is one core behind ``find_sem``,
+``certify_not_sem`` and the census.  It anchors the window of induced sums:
+the consecutive-sums identity confines the minimum sum s to a short range,
+and a partial labeling dies as soon as its sums fit no window [s, s+q-1]
+with s in that range.  Outside ``all`` mode it also breaks the symmetry of
+twin vertices and of the complement labeling.
+
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
 cross-checked against plain enumeration at small orders, and the two must
@@ -25,7 +32,7 @@ ABORTED = "aborted"
 
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
-DEFAULT_CERTIFY_BOUND = 12
+DEFAULT_CERTIFY_BOUND = 16
 EDGE_MAGIC_TOTAL_BOUND = 16
 
 
@@ -78,8 +85,18 @@ class _Abort(Exception):
     pass
 
 
-def _degree_order(g: Graph) -> list:
-    return sorted(range(1, g.order + 1), key=lambda v: (-g.degree(v), v))
+def _degrees(g: Graph) -> list:
+    """Degree of every vertex in one pass over the edges; index 0 is unused
+    and a loop counts 2."""
+    deg = [0] * (g.order + 1)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _degree_order(deg: list) -> list:
+    return sorted(range(1, len(deg)), key=lambda v: (-deg[v], v))
 
 
 def _prepare(g: Graph, verts: list):
@@ -98,22 +115,93 @@ def _prepare(g: Graph, verts: list):
     return partners, loops
 
 
+def _sum_starts(deg: list, p: int, q: int) -> range:
+    """Every minimum sum s that a SEM labeling of a (p,q)-graph with these
+    degrees can have.
+
+    The induced sums of a SEM labeling are s..s+q-1, so summing them gives
+    Σ_v deg(v)·f(v) = q·s + q(q-1)/2 (the consecutive-sums lemma of
+    Figueroa-Centeno, Ichishima & Muntaner-Batle, 2001).  By the
+    rearrangement inequality the left side lies between the pairing of the
+    largest degrees with the smallest labels and the pairing of the largest
+    degrees with the largest labels, which confines s.  Every sum lies in
+    [2, 2p], so s >= 2 and s+q-1 <= 2p; the range is empty when q > 2p-1.
+    An edgeless graph has no sums and one window with nothing to reject.
+    """
+    if q == 0:
+        return range(2, 3)
+    ds = sorted(deg[1:], reverse=True)
+    low = sum(d * lab for lab, d in enumerate(ds, 1))
+    high = sum(d * lab for lab, d in enumerate(reversed(ds), 1))
+    base = q * (q - 1) // 2
+    return range(max(2, -((base - low) // q)), min(2 * p - q + 1, (high - base) // q) + 1)
+
+
+def _twin_prev(g: Graph, verts: list) -> list:
+    """Per search position: the position of the previous twin, or -1.
+
+    Twins are vertices with the same open neighbourhood and the same loop
+    flag; swapping two of them is an automorphism.  Twins have equal degree,
+    so both variable orders place them in index order.
+    """
+    nbrs = [set() for _ in range(g.order + 1)]
+    loop = [False] * (g.order + 1)
+    for u, v in g.edges:
+        if u == v:
+            loop[u] = True
+        else:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    last: dict = {}
+    prev = []
+    for t, v in enumerate(verts):
+        key = (frozenset(nbrs[v]), loop[v])
+        prev.append(last.get(key, -1))
+        last[key] = t
+    return prev
+
+
 def _sem_backtrack(
     g: Graph,
     verts: list,
+    deg: list,
     mode: str,
     budget: ResourceBudget,
     deadline: float,
 ):
-    """Depth-first search over bijections with sum pruning.
+    """Depth-first search over bijections inside the anchored windows.
 
-    A partial assignment dies when an induced sum repeats or when the spread
-    of placed sums can no longer fit inside any window of q consecutive
-    integers.  Returns ``(status, witnesses, nodes)`` where status is
-    WITNESS/EXHAUSTED/ABORTED.
+    Labels are placed on ``verts`` in order.  The search carries the range
+    [a, b] of minimum sums s whose window [s, s+q-1] can still hold every
+    closed edge's sum: it starts as ``_sum_starts``, each new sum x narrows
+    it to [max(a, x-q+1), min(b, x)], and a partial assignment dies as soon
+    as the range empties or a sum repeats.  One pass thus covers every
+    window and visits each partial assignment once, however many windows it
+    fits.
+
+    In ``first`` and ``canonical`` mode two symmetry-breaking cuts apply
+    (Crawford, Ginsberg, Luks & Roy, 1996): each vertex takes a label above
+    that of its previous twin, and the first search position takes a label
+    of at most ⌈p/2⌉, since the complement x ↦ p+1-x preserves SEM.  Both
+    are sound for existence, and for ``canonical`` too: the
+    lexicographically smallest labeling is ascending on twins and starts at
+    most at ⌈p/2⌉ (else its complement would be smaller), so it is still
+    the first witness of the index-order search.  ``all`` mode applies the
+    window alone, so its witness set is exact.
+
+    Returns ``(status, witnesses, nodes)`` where status is
+    WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried.
     """
     p, q = g.order, g.size
+    starts = _sum_starts(deg, p, q)
+    if not starts:
+        return EXHAUSTED, [], 0
     partners, loops = _prepare(g, verts)
+    collect_all = mode == "all"
+    if collect_all:
+        twin_prev, first_stop = [-1] * p, p + 1
+    else:
+        twin_prev, first_stop = _twin_prev(g, verts), (p + 1) // 2 + 1
     assigned = [0] * p
     labels_of = [0] * (p + 1)
     used = [False] * (p + 1)
@@ -121,17 +209,18 @@ def _sem_backtrack(
     witnesses: list[VertexLabeling] = []
     nodes = 0
     max_nodes = budget.max_nodes
-    collect_all = mode == "all"
-    sentinel_lo, sentinel_hi = 4 * p + 10, -(4 * p + 10)
+    span = q - 1
 
-    def extend(t: int, lo: int, hi: int) -> bool:
+    def extend(t: int, a: int, b: int) -> bool:
         nonlocal nodes
         if t == p:
             witnesses.append(VertexLabeling(tuple(labels_of[1:])))
             return not collect_all
         row = partners[t]
         has_loop = loops[t]
-        for lab in range(1, p + 1):
+        twin = twin_prev[t]
+        start = assigned[twin] + 1 if twin >= 0 else 1
+        for lab in range(start, first_stop if t == 0 else p + 1):
             if used[lab]:
                 continue
             nodes += 1
@@ -139,7 +228,7 @@ def _sem_backtrack(
                 raise _Abort
             if nodes & 1023 == 0 and time.monotonic() > deadline:
                 raise _Abort
-            nlo, nhi = lo, hi
+            na, nb = a, b
             added = []
             ok = True
             if has_loop:
@@ -149,11 +238,11 @@ def _sem_backtrack(
                 else:
                     seen[s] = 1
                     added.append(s)
-                    if s < nlo:
-                        nlo = s
-                    if s > nhi:
-                        nhi = s
-                    if nhi - nlo >= q:
+                    if s - span > na:
+                        na = s - span
+                    if s < nb:
+                        nb = s
+                    if na > nb:
                         ok = False
             if ok:
                 for spos in row:
@@ -163,18 +252,18 @@ def _sem_backtrack(
                         break
                     seen[s] = 1
                     added.append(s)
-                    if s < nlo:
-                        nlo = s
-                    if s > nhi:
-                        nhi = s
-                    if nhi - nlo >= q:
+                    if s - span > na:
+                        na = s - span
+                    if s < nb:
+                        nb = s
+                    if na > nb:
                         ok = False
                         break
             if ok:
                 assigned[t] = lab
                 labels_of[verts[t]] = lab
                 used[lab] = True
-                if extend(t + 1, nlo, nhi):
+                if extend(t + 1, na, nb):
                     return True
                 used[lab] = False
             for s in added:
@@ -182,7 +271,7 @@ def _sem_backtrack(
         return False
 
     try:
-        extend(0, sentinel_lo, sentinel_hi)
+        extend(0, starts[0], starts[-1])
     except _Abort:
         return ABORTED, witnesses, nodes
     return (WITNESS if witnesses else EXHAUSTED), witnesses, nodes
@@ -197,11 +286,15 @@ def find_sem(
 ) -> SearchReport:
     """Search for a SEM labeling of g.
 
+    ``first`` returns any witness, ``canonical`` the lexicographically
+    smallest labeling vector, ``all`` every witness in lexicographic order.
+    The search (``_sem_backtrack``) keeps every sum inside the anchored
+    windows and breaks twin and complement symmetry outside ``all`` mode.
     Variable order is static: descending degree then index for ``first``
     (loops pin 2g(u), so centers go early), plain index order for
     ``canonical`` and ``all`` so the first witness found is the
-    lexicographically smallest labeling vector.  Every witness is re-verified
-    with ``is_sem`` before it is reported.
+    lexicographically smallest labeling vector.  Every witness is
+    re-verified with ``is_sem`` before it is reported.
     """
     if mode not in ("first", "canonical", "all"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -211,10 +304,11 @@ def find_sem(
     )
     if g.order > bound:
         raise ResourceLimit(f"order {g.order} exceeds the {mode}-mode bound {bound}")
-    verts = _degree_order(g) if mode == "first" else list(range(1, g.order + 1))
+    deg = _degrees(g)
+    verts = _degree_order(deg) if mode == "first" else list(range(1, g.order + 1))
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    status, wits, nodes = _sem_backtrack(g, verts, mode, budget, deadline)
+    status, wits, nodes = _sem_backtrack(g, verts, deg, mode, budget, deadline)
     elapsed = time.monotonic() - start
     for w in wits:
         ok, _ = is_sem(g, w)
@@ -333,7 +427,10 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     Each entry pairs the canonical representative (minimum sorted edge list
     over all relabelings) with its SEM search outcome.  Deduplication buckets
     subsets by a degree/loop invariant and settles each bucket by exact
-    isomorphism, canonicalising once per class.
+    isomorphism, canonicalising once per class.  ``budget.max_nodes`` bounds
+    the subsets enumerated; ``budget.max_seconds`` bounds the whole census,
+    class searches included, and a class search that aborts raises
+    ``ResourceLimit`` rather than being recorded as "not SEM".
     """
     if not 1 <= p <= 8:
         raise ValueError(f"census supports 1 <= p <= 8, got {p}")
@@ -355,8 +452,11 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     entries = []
     for bucket in buckets.values():
         for g in bucket:
-            sem = find_sem(g, "first").outcome == WITNESS
-            entries.append((canonical_form(g), sem))
+            left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
+            report = find_sem(g, "first", left)
+            if report.outcome == ABORTED:
+                raise ResourceLimit("census search of a class aborted")
+            entries.append((canonical_form(g), report.outcome == WITNESS))
     entries.sort(key=lambda pair: pair[0].sorted_edges)
     return entries
 
@@ -393,7 +493,7 @@ def find_edge_magic(
     budget = budget or ResourceBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    verts = _degree_order(g)
+    verts = _degree_order(_degrees(g))
     partners, loops = _prepare(g, verts)
     has_plain = any(u != v for u, v in g.edges)
     k_lo, k_hi = (6, 3 * total - 3) if has_plain else (4, 3 * total - 1)

@@ -296,6 +296,17 @@ class TestCensusCommand:
         assert len(lines) == 2
         assert {line["sem"] for line in lines} == {True, False}
 
+    def test_aborted_class_search_exits_three(self, runner, monkeypatch):
+        from semforge.search import ABORTED, SearchReport
+
+        def aborted(g, mode="first", budget=None, **kwargs):
+            return SearchReport(ABORTED, None, None, 1, 0.0, budget)
+
+        monkeypatch.setattr("semforge.search.find_sem", aborted)
+        result = runner.invoke(main, ["census", "--order", "2"])
+        assert result.exit_code == 3
+        assert '"sem"' not in result.output
+
 
 class TestComplementCommand:
     def test_round_trip(self, runner, tmp_path):

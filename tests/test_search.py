@@ -14,9 +14,13 @@ from semforge.labelings import identity_labeling, is_sem, verify_edge_magic
 from semforge.product import canonical_product_labeling, constant_assignment, otimes_h
 from semforge.search import (
     ABORTED,
+    DEFAULT_CERTIFY_BOUND,
     EXHAUSTED,
     WITNESS,
     ResourceBudget,
+    SearchReport,
+    _degrees,
+    _sum_starts,
     census_equal_order_size,
     certify_not_sem,
     enumerate_snk,
@@ -95,11 +99,84 @@ class TestNodeCounts:
 
     def test_lk14_pair_exhausted(self):
         report = find_sem(self.LK14_PAIR, "first")
-        assert (report.outcome, report.nodes) == (EXHAUSTED, 452_300)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 6_883)
 
     def test_node_budget_bounds_whole_search(self):
-        report = find_sem(self.LK14_PAIR, "first", ResourceBudget(max_nodes=100_000))
-        assert (report.outcome, report.nodes) == (ABORTED, 100_001)
+        report = find_sem(self.LK14_PAIR, "first", ResourceBudget(max_nodes=5_000))
+        assert (report.outcome, report.nodes) == (ABORTED, 5_001)
+
+    @pytest.mark.parametrize("k,nodes", [(21, 33_723), (23, 27_247)])
+    def test_odd_cycle_first_witness(self, k, nodes):
+        report = find_sem(cycle_graph(k), "first")
+        assert (report.outcome, report.nodes) == (WITNESS, nodes)
+
+    def test_lk15_pair_certified(self):
+        g = disjoint_union([star_with_loop(5), star_with_loop(5)])
+        report = certify_not_sem(g)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 51_616)
+
+
+class TestSumWindow:
+    @pytest.mark.parametrize("k", [3, 5, 9, 23])
+    def test_odd_cycle_window_is_forced(self, k):
+        s = (k + 3) // 2
+        assert _sum_starts(_degrees(cycle_graph(k)), k, k) == range(s, s + 1)
+
+    def test_too_many_edges_leave_no_window(self):
+        g = Graph(3, all_possible_edges(3))  # q = 6 > 2p - 1 = 5
+        assert len(_sum_starts(_degrees(g), 3, 6)) == 0
+        for mode in ("first", "canonical", "all"):
+            report = find_sem(g, mode)
+            assert (report.outcome, report.nodes) == (EXHAUSTED, 0)
+
+
+STARS = [star_with_loop(n) for n in range(1, 5)]
+SPECIAL_CASES = {
+    # twin-heavy loop-star unions
+    "lk15": star_with_loop(5),
+    "lk12+lk13": disjoint_union([STARS[1], STARS[2]]),
+    "lk11+lk14": disjoint_union([STARS[0], STARS[3]]),
+    "3lk11": disjoint_union([STARS[0]] * 3),
+    "2lk11+lk12": disjoint_union([STARS[0], STARS[0], STARS[1]]),
+    "2l+lk13": disjoint_union([loop_graph(), loop_graph(), STARS[2]]),
+    "3l+lk12": disjoint_union([loop_graph()] * 3 + [STARS[1]]),
+    # no sums at all; q > 2p-1, so no window (K3+loops); a dense simple graph
+    "edgeless1": Graph(1, []),
+    "edgeless4": Graph(4, []),
+    "K3+loops": Graph(3, all_possible_edges(3)),
+    "K4": Graph(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]),
+}
+
+
+class TestSymmetryBrokenModes:
+    """Every mode, with its window and symmetry cuts, against the unpruned
+    oracle: existence for ``first`` and ``certify_not_sem``, the oracle's
+    first witness for ``canonical``, the witness count for ``all``."""
+
+    @staticmethod
+    def check(graph) -> int:
+        count, first = exhaustive_sem_search(graph)
+        expected = WITNESS if count else EXHAUSTED
+        report = find_sem(graph, "first")
+        assert report.outcome == expected
+        if count:
+            assert is_sem(graph, report.witness)[0]
+        assert certify_not_sem(graph).outcome == expected
+        canonical = find_sem(graph, "canonical")
+        assert (canonical.outcome, canonical.witness) == (expected, first)
+        everything = find_sem(graph, "all")
+        assert everything.witness_count == count
+        assert everything.witness == first
+        return count
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_census_classes(self, k):
+        for g, sem in census_equal_order_size(k):
+            assert sem == (self.check(g) > 0)
+
+    @pytest.mark.parametrize("graph", SPECIAL_CASES.values(), ids=SPECIAL_CASES.keys())
+    def test_special_graphs(self, graph):
+        self.check(graph)
 
 
 class TestCertify:
@@ -119,8 +196,9 @@ class TestCertify:
         assert report.outcome == EXHAUSTED
 
     def test_order_bound(self):
+        certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND - 1))
         with pytest.raises(ResourceLimit):
-            certify_not_sem(star_with_loop(13))
+            certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND))
 
 
 class TestEnumerateSnk:
@@ -212,6 +290,19 @@ class TestCensus:
     def test_budget(self):
         with pytest.raises(ResourceLimit):
             census_equal_order_size(5, ResourceBudget(max_nodes=10))
+
+    def test_aborted_class_search_is_a_limit(self, monkeypatch):
+        # an aborted search is no verdict: it must not be recorded as "not SEM"
+        budgets = []
+
+        def aborted(g, mode="first", budget=None, **kwargs):
+            budgets.append(budget)
+            return SearchReport(ABORTED, None, None, 1, 0.0, budget)
+
+        monkeypatch.setattr("semforge.search.find_sem", aborted)
+        with pytest.raises(ResourceLimit):
+            census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
+        assert len(budgets) == 1 and budgets[0].max_seconds <= 50.0
 
 
 class TestExplore:
