@@ -18,10 +18,7 @@ from typing import Mapping
 from .errors import BadAssignment, BadParam, NotSem, VerificationFailed
 from .families import (
     CertifiedLabeledGraph,
-    build_mixed_loop_stars,
-    build_odd_copies_lk1n,
-    build_two_lk11_lk1n,
-    build_two_lk1m_lk1n,
+    construct_family,
     cycle_graph,
     odd_cycle_labeling,
     star_with_loop,
@@ -167,12 +164,8 @@ def corona_iso_check(k: int, n: int, *, node_budget: int | None = None) -> bool:
     return isomorphic(product, corona(cycle_graph(k), n), **kwargs)
 
 
-_CORONA_UNION_VARIANTS = {
-    "i": (("n",), lambda p: build_two_lk11_lk1n(p["n"])),
-    "ii": (("m", "n"), lambda p: build_two_lk1m_lk1n(p["m"], p["n"])),
-    "iii": (("s", "n"), lambda p: build_odd_copies_lk1n(p["s"], p["n"])),
-    "iv": (("m", "n", "s"), lambda p: build_mixed_loop_stars(p["m"], p["n"], p["s"])),
-}
+# variant -> the certified family (``families.CERTIFIED_FAMILIES``) it draws on
+_CORONA_UNION_VARIANTS = {"i": "2lk11-lk1n", "ii": "2lk1m-lk1n", "iii": "odd-lk1n", "iv": "thm24"}
 
 
 def corona_union_via_product(variant: str, **params):
@@ -185,16 +178,12 @@ def corona_union_via_product(variant: str, **params):
     """
     if variant not in _CORONA_UNION_VARIANTS:
         raise BadParam(f"unknown variant {variant!r}; expected one of i, ii, iii, iv")
-    arg_names, builder = _CORONA_UNION_VARIANTS[variant]
     if "k" not in params:
         raise BadParam("corona union build needs the cycle length k")
-    missing = [a for a in arg_names if a not in params]
-    if missing:
-        raise BadParam(f"variant {variant} needs parameters {', '.join(arg_names)}")
     k = params["k"]
     if k < 3:
         raise BadParam(f"cycle length must be at least 3, got {k}")
-    cert: CertifiedLabeledGraph = builder(params)
+    cert: CertifiedLabeledGraph = construct_family(_CORONA_UNION_VARIANTS[variant], params)
     member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
     family = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     host = indegree_one_orientation(cycle_graph(k))
@@ -232,10 +221,15 @@ def save_family(family: LabeledFamily, directory: str | Path) -> Path:
 def load_family(directory: str | Path) -> LabeledFamily:
     directory = Path(directory)
     meta = json.loads((directory / "family.json").read_text())
-    members = tuple(
-        parse_digraph((directory / name).read_text()) for name in meta["members"]
-    )
-    return LabeledFamily(meta["n"], meta["k"], members)
+    if not isinstance(meta, dict):
+        raise ValueError(f"family.json must hold a JSON object, got {type(meta).__name__}")
+    n, k, names = meta["n"], meta["k"], meta["members"]
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"family n and k must be integers, got n={n!r}, k={k!r}")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"family members must be a list of file names, got {names!r}")
+    members = tuple(parse_digraph((directory / name).read_text()) for name in names)
+    return LabeledFamily(n, k, members)
 
 
 def parse_assignment(text: str) -> dict:

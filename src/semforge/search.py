@@ -17,12 +17,13 @@ agree both on existence and on witness counts.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
 from .errors import ResourceLimit
 from .families import star_with_loop
-from .graphs import Digraph, Graph, canonical_form, disjoint_union, isomorphic
+from .graphs import Digraph, Graph, disjoint_union
 from .labelings import FullLabeling, VertexLabeling, is_sem, verify_edge_magic
 from .product import LabeledFamily
 
@@ -414,50 +415,46 @@ def enumerate_snk(n: int, k: int, *, max_n: int = 5) -> LabeledFamily:
     return LabeledFamily(n, k, members)
 
 
-def _census_key(g: Graph):
-    kinds = {v: (g.has_loop(v), g.degree(v)) for v in range(1, g.order + 1)}
-    vs = tuple(sorted(kinds.values()))
-    es = tuple(sorted(tuple(sorted((kinds[u], kinds[v]))) for u, v in g.edges))
-    return vs, es
-
-
 def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> list:
     """Catalog of loop-allowed graphs with order = size = p up to isomorphism.
 
-    Each entry pairs the canonical representative (minimum sorted edge list
-    over all relabelings) with its SEM search outcome.  Deduplication buckets
-    subsets by a degree/loop invariant and settles each bucket by exact
-    isomorphism, canonicalising once per class.  ``budget.max_nodes`` bounds
-    the subsets enumerated; ``budget.max_seconds`` bounds the whole census,
-    class searches included, and a class search that aborts raises
-    ``ResourceLimit`` rather than being recorded as "not SEM".
+    One orderly pass (Read 1978; McKay 1998) meets the p-edge subsets in
+    lexicographic order, so the first subset met of each class is its
+    canonical form (minimum sorted edge list over all relabelings).  It is
+    searched and appended with its SEM outcome, and its p! relabelings are
+    marked, one byte per subset by lexicographic rank.  ``budget.max_nodes``
+    bounds the subsets enumerated; ``budget.max_seconds`` the whole census,
+    class searches included; an aborted class search raises ``ResourceLimit``.
     """
     if not 1 <= p <= 8:
         raise ValueError(f"census supports 1 <= p <= 8, got {p}")
     budget = budget or ResourceBudget()
     deadline = time.monotonic() + budget.max_seconds
     pool = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
-    buckets: dict = {}
-    processed = 0
-    for combo in itertools.combinations(pool, p):
-        processed += 1
-        if processed > budget.max_nodes:
-            raise ResourceLimit("census node budget exhausted")
-        if processed & 1023 == 0 and time.monotonic() > deadline:
-            raise ResourceLimit("census wall-clock budget exhausted")
-        g = Graph(p, frozenset(combo))
-        bucket = buckets.setdefault(_census_key(g), [])
-        if not any(isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
+    slot = {e: i for i, (u, v) in enumerate(pool) for e in ((u, v), (v, u))}
+    perms = itertools.permutations(range(1, p + 1))
+    relabel = [[slot[f[u - 1], f[v - 1]] for u, v in pool] for f in perms]
+    n = len(pool)
+    last = math.comb(n, p) - 1  # slots c_0 < c_1 < ... have rank last - Σ_i C(n-1-c_i, p-i)
+    weights = [[math.comb(n - 1 - c, p - i) for c in range(n)] for i in range(p)]
+    marks = bytearray(last + 1)
     entries = []
-    for bucket in buckets.values():
-        for g in bucket:
-            left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
-            report = find_sem(g, "first", left)
-            if report.outcome == ABORTED:
-                raise ResourceLimit("census search of a class aborted")
-            entries.append((canonical_form(g), report.outcome == WITNESS))
-    entries.sort(key=lambda pair: pair[0].sorted_edges)
+    for rank, combo in enumerate(itertools.combinations(range(n), p)):
+        if rank >= budget.max_nodes:
+            raise ResourceLimit("census node budget exhausted")
+        if rank & 1023 == 1023 and time.monotonic() > deadline:
+            raise ResourceLimit("census wall-clock budget exhausted")
+        if marks[rank]:
+            continue
+        for f in relabel:
+            image = sorted(map(f.__getitem__, combo))
+            marks[last - sum(map(list.__getitem__, weights, image))] = 1
+        g = Graph(p, frozenset(pool[i] for i in combo))
+        left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
+        report = find_sem(g, "first", left)
+        if report.outcome == ABORTED:
+            raise ResourceLimit("census search of a class aborted")
+        entries.append((g, report.outcome == WITNESS))
     return entries
 
 

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semforge.cli import export_dot, main
 from semforge.families import build_two_lk11_lk1n, cycle_graph, loop_graph, star_with_loop
@@ -14,13 +18,39 @@ from semforge.graphs import (
     parse_graph,
 )
 from semforge.labelings import identity_labeling, labeling_json
-from semforge.product import save_family
+from semforge.product import LabeledFamily, load_family, save_family
 from semforge.search import enumerate_snk
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+# Directories for the load_family fuzz: family.json is arbitrary text or JSON,
+# often shaped like a family, and m0..m2.txt hold valid or broken members.
+_MEMBER_TEXTS = [format_digraph(m) for m in enumerate_snk(2, 2)] + [
+    "1 1 d\n1 1\n",
+    "2 1 d\n1 x\n",
+    "",
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+    | st.text(alphabet="ab.0 ", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "k", "members", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+_NAMES = st.sampled_from(["m0.txt", "m1.txt", "m2.txt", "absent.txt", "", ".."])
+_FAMILY_JSON = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.just(2) | st.just(True) | _JSON,
+        "k": st.just(2) | st.just(3) | _JSON,
+        "members": st.lists(_NAMES, max_size=3) | _JSON,
+    }).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(alphabet='{}[]":,1n ', max_size=12),
+)
 
 
 @pytest.fixture
@@ -280,6 +310,47 @@ class TestProductCommand:
         (fam / "family.json").write_text(json.dumps(meta))
         result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("meta", [
+        # True == 1 and the one-loop member fits n = 1, k = 2, but a bool is no order
+        '{"n": true, "k": 2, "members": ["m.txt"]}',
+        '{"n": 1, "k": 2.0, "members": ["m.txt"]}',
+        '{"n": 1, "k": 2, "members": ""}',
+        '{"n": 1, "k": 2, "members": [1]}',
+    ])
+    def test_family_json_types_usage_error(self, runner, tmp_path, meta):
+        hpath = tmp_path / "host.txt"
+        hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "m.txt").write_text("1 1 d\n1 1\n")
+        (fam / "family.json").write_text(meta)
+        with pytest.raises(ValueError):
+            load_family(fam)
+        result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
+        assert result.exit_code == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FAMILY_JSON, st.lists(st.sampled_from(_MEMBER_TEXTS), min_size=3, max_size=3))
+    def test_family_dir_loads_or_exits_two(self, meta, bodies):
+        with tempfile.TemporaryDirectory() as tmp:
+            hpath = Path(tmp) / "host.txt"
+            hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+            fam = Path(tmp) / "fam"
+            fam.mkdir()
+            (fam / "family.json").write_text(meta)
+            for i, body in enumerate(bodies):
+                (fam / f"m{i}.txt").write_text(body)
+            try:
+                family = load_family(fam)
+            except (ValueError, KeyError, TypeError, OSError):
+                args = ["product", "--graph", str(hpath), "--family-dir", str(fam)]
+                assert CliRunner().invoke(main, args).exit_code == 2
+                return
+            data = json.loads(meta)
+            assert isinstance(family, LabeledFamily) and isinstance(data["members"], list)
+            assert type(family.n) is int and type(family.k) is int
+            assert (family.n, family.k) == (data["n"], data["k"])
 
     def test_family_source_required(self, runner, tmp_path):
         hpath = tmp_path / "host.txt"

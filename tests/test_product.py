@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from semforge.errors import BadAssignment, BadParam, NotSem
 from semforge.families import (
+    build_mixed_loop_stars,
+    build_odd_copies_lk1n,
     build_two_lk11_lk1n,
+    build_two_lk1m_lk1n,
     cycle_graph,
     odd_cycle_labeling,
     star_with_loop,
@@ -237,6 +240,18 @@ class TestCoronaUnionBuilds:
         graph, labeling = corona_union_via_product("ii", k=3, m=2, n=1)
         assert is_sem(graph, labeling)[0]
         graph, labeling = corona_union_via_product("iv", k=5, m=1, n=1, s=1)
+        assert is_sem(graph, labeling)[0]
+
+    @pytest.mark.parametrize("variant, builder, params", [
+        ("i", build_two_lk11_lk1n, {"n": 2}),
+        ("ii", build_two_lk1m_lk1n, {"m": 2, "n": 1}),
+        ("iii", build_odd_copies_lk1n, {"s": 1, "n": 1}),
+        ("iv", build_mixed_loop_stars, {"m": 1, "n": 1, "s": 1}),
+    ])
+    def test_variant_draws_its_certified_family(self, variant, builder, params):
+        # the four families have orders 7, 8, 6 and 10 here, so a swap shows
+        graph, labeling = corona_union_via_product(variant, k=3, **params)
+        assert graph.order == 3 * builder(**params).graph.order
         assert is_sem(graph, labeling)[0]
 
     def test_bad_params(self):

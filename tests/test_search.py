@@ -9,7 +9,7 @@ from semforge.families import (
     loop_graph,
     star_with_loop,
 )
-from semforge.graphs import Digraph, Graph, corona, disjoint_union, isomorphic
+from semforge.graphs import Digraph, Graph, canonical_form, corona, disjoint_union, isomorphic
 from semforge.labelings import identity_labeling, is_sem, verify_edge_magic
 from semforge.product import canonical_product_labeling, constant_assignment, otimes_h
 from semforge.search import (
@@ -169,7 +169,7 @@ class TestSymmetryBrokenModes:
         assert everything.witness == first
         return count
 
-    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_census_classes(self, k):
         for g, sem in census_equal_order_size(k):
             assert sem == (self.check(g) > 0)
@@ -283,6 +283,15 @@ class TestCensus:
             for h, _ in entries[i + 1:]:
                 assert not isomorphic(g, h)
 
+    @pytest.mark.parametrize("k, classes", [(1, 1), (2, 2), (3, 6), (4, 17), (5, 52), (6, 173)])
+    def test_canonical_classes_in_order(self, k, classes):
+        entries = census_equal_order_size(k)
+        assert len(entries) == classes
+        edge_lists = [g.sorted_edges for g, _ in entries]
+        assert all(a < b for a, b in zip(edge_lists, edge_lists[1:]))
+        for g, _ in entries:
+            assert g == canonical_form(g)
+
     def test_order_bound(self):
         with pytest.raises(ValueError):
             census_equal_order_size(9)
@@ -290,6 +299,16 @@ class TestCensus:
     def test_budget(self):
         with pytest.raises(ResourceLimit):
             census_equal_order_size(5, ResourceBudget(max_nodes=10))
+
+    def test_node_budget_counts_subsets(self):
+        # order 3 has C(6, 3) = 20 subsets of the 6 edge slots
+        assert len(census_equal_order_size(3, ResourceBudget(max_nodes=20))) == 6
+        with pytest.raises(ResourceLimit):
+            census_equal_order_size(3, ResourceBudget(max_nodes=19))
+
+    def test_wall_clock_budget(self):
+        with pytest.raises(ResourceLimit):
+            census_equal_order_size(6, ResourceBudget(max_seconds=0.0))
 
     def test_aborted_class_search_is_a_limit(self, monkeypatch):
         # an aborted search is no verdict: it must not be recorded as "not SEM"
