@@ -54,6 +54,7 @@ from .labelings import (
     FullLabeling,
     SumWindow,
     VertexLabeling,
+    certificate_json,
     complement,
     complete_to_edge_magic,
     counterdiagonal_profile,
@@ -72,6 +73,7 @@ from .product import (
     corona_union_via_product,
     corona_iso_check,
     kronecker,
+    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,

@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .labelings import (
     VertexLabeling,
+    certificate_json,
     complement,
     counterdiagonal_profile,
     is_sem,
@@ -45,8 +46,8 @@ from .labelings import (
     rotate_pi,
 )
 from .product import (
-    canonical_product_labeling,
     constant_assignment,
+    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,
@@ -198,7 +199,7 @@ def construct(family_name, params, spec, fmt, out):
             raise click.UsageError(
                 f"{family_name} is a primitive with no labeling; use --format edgelist or dot"
             )
-        _emit(json.dumps(labeling_json(graph, labeling)) + "\n", out)
+        _emit(json.dumps(certificate_json(result)) + "\n", out)
     elif fmt == "edgelist":
         _emit(format_graph(graph), out)
     else:
@@ -286,15 +287,14 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
     else:
         assignment = constant_assignment(host, member)
     try:
-        prod = otimes_h(host, assignment, family)
         if emit_what == "digraph":
-            _emit(format_digraph(prod), out)
+            _emit(format_digraph(otimes_h(host, assignment, family)), out)
             sys.exit(0)
         if host_labeling_path is None:
             raise click.UsageError("--emit labeling needs --host-labeling")
         host_labeling = _load_labeling(host_labeling_path)
-        labeling = canonical_product_labeling(host, host_labeling, family, assignment)
-        _emit(json.dumps(labeling_json(underlying(prod), labeling)) + "\n", out)
+        lifted = lift_to_product(host, host_labeling, family, assignment)
+        _emit(json.dumps(certificate_json(lifted)) + "\n", out)
         sys.exit(0)
     except (BadAssignment, NotSem) as exc:
         raise click.UsageError(str(exc))

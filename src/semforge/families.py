@@ -52,7 +52,10 @@ class DeerSpec:
 
 @dataclass(frozen=True)
 class CertifiedLabeledGraph:
-    """A graph together with a labeling that has passed the SEM verifier."""
+    """A graph together with a labeling that has passed the SEM verifier.
+
+    ``window`` is the verifier's sum window, ``None`` only for an edgeless graph.
+    """
 
     graph: Graph
     labeling: VertexLabeling

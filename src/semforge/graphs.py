@@ -31,8 +31,8 @@ class Graph:
     """Undirected graph on vertex set [1, order].
 
     Edges are stored as pairs ``(u, v)`` with ``u <= v``; a pair ``(u, u)`` is
-    a loop.  Any iterable of pairs is accepted and normalised; duplicates
-    collapse by set semantics.
+    a loop.  Any iterable of pairs of ``int`` vertices is accepted and
+    normalised; duplicates collapse by set semantics.
     """
 
     order: int
@@ -41,13 +41,7 @@ class Graph:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"graph order must be positive, got {self.order}")
-        norm = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
-        for u, v in norm:
-            if not (1 <= u <= self.order and 1 <= v <= self.order):
-                raise ValueError(
-                    f"edge ({u},{v}) has an endpoint outside [1,{self.order}]"
-                )
-        object.__setattr__(self, "edges", norm)
+        object.__setattr__(self, "edges", _vertex_pairs(self.edges, self.order, "edge"))
 
     @property
     def size(self) -> int:
@@ -111,13 +105,7 @@ class Digraph:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"digraph order must be positive, got {self.order}")
-        norm = frozenset((int(a), int(b)) for a, b in self.arcs)
-        for a, b in norm:
-            if not (1 <= a <= self.order and 1 <= b <= self.order):
-                raise ValueError(
-                    f"arc ({a},{b}) has an endpoint outside [1,{self.order}]"
-                )
-        object.__setattr__(self, "arcs", norm)
+        object.__setattr__(self, "arcs", _vertex_pairs(self.arcs, self.order, "arc"))
 
     @property
     def size(self) -> int:
@@ -132,6 +120,40 @@ class Digraph:
 
     def outdegree(self, v: int) -> int:
         return sum(1 for a, _ in self.arcs if a == v)
+
+
+def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
+    """The edge (``kind="edge"``) or arc set of a graph of the given order.
+
+    Every member must be a pair of ``int`` vertices in [1, order]; ``bool`` is
+    not a vertex.  Edges are normalised to ``u <= v``.  A frozenset of tuples
+    that needs no normalising is kept as it is, so a set built by a parser or
+    an operation is checked in one pass and not copied.
+    """
+    if type(pairs) is not frozenset:
+        try:
+            pairs = frozenset(map(tuple, pairs))
+        except TypeError as exc:
+            raise ValueError(f"{kind}s must be pairs of vertices: {exc}") from exc
+    unsorted = outside = False
+    for e in pairs:
+        if type(e) is not tuple or len(e) != 2:
+            raise ValueError(f"{kind}s must be pairs of vertices, got {e!r}")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"vertices must be integers, got {kind} {e!r}")
+        if u > v:
+            unsorted = True
+            if v < 1 or u > order:
+                outside = True
+        elif u < 1 or v > order:
+            outside = True
+    if unsorted and kind == "edge":
+        pairs = frozenset((u, v) if u <= v else (v, u) for u, v in pairs)
+    if outside:
+        u, v = min(e for e in pairs if not (1 <= e[0] <= order and 1 <= e[1] <= order))
+        raise ValueError(f"{kind} ({u},{v}) has an endpoint outside [1,{order}]")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -184,10 +206,16 @@ def indegree_one_orientation(g: Graph) -> Digraph:
     its smaller cycle neighbour) and tree edges point away from the cycle, so
     the output is deterministic and degree-1 vertices get outdegree 0.
     """
+    comps = g.components()
+    comp_of = [0] * (g.order + 1)
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = idx
+    edges_of: list[list[Edge]] = [[] for _ in comps]
+    for e in g.edges:
+        edges_of[comp_of[e[0]]].append(e)
     arcs: set[Arc] = set()
-    for comp in g.components():
-        comp_set = set(comp)
-        comp_edges = [e for e in g.edges if e[0] in comp_set]
+    for comp, comp_edges in zip(comps, edges_of):
         if len(comp_edges) < len(comp):
             raise NoSuchOrientation(
                 f"component {comp} has no cycle (it is a tree)"
@@ -237,7 +265,7 @@ def indegree_one_orientation(g: Graph) -> Digraph:
             nxt = b if a == prev else a
             arcs.add((cur, nxt))
             prev, cur = cur, nxt
-    return Digraph(g.order, arcs)
+    return Digraph(g.order, frozenset(arcs))
 
 
 def adjacency_matrix(
@@ -422,45 +450,52 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_pairs(lines: list[str], q: int, what: str) -> list[tuple[int, int]]:
+def _parse_pairs(lines: list[str], q: int, what: str) -> frozenset:
+    """The q pair lines as one frozenset, edges normalised to ``u <= v``."""
     if len(lines) != q:
         raise ValueError(f"expected {q} {what} lines, found {len(lines)}")
+    undirected = what == "edge"
     pairs = []
     for line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"malformed {what} line: {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
+        u, v = int(parts[0]), int(parts[1])
+        pairs.append((v, u) if undirected and v < u else (u, v))
+    found = frozenset(pairs)
+    if len(found) != q:
+        raise ValueError(f"duplicate {what} in {'graph' if undirected else 'digraph'} file")
+    return found
+
+
+def _parse_graph_lines(lines: list[str]) -> Graph:
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
+    p, q = int(header[0]), int(header[1])
+    return Graph(p, _parse_pairs(lines[1:], q, "edge"))
+
+
+def _parse_digraph_lines(lines: list[str]) -> Digraph:
+    header = lines[0].split()
+    if len(header) != 3 or header[2] != "d":
+        raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
+    p, q = int(header[0]), int(header[1])
+    return Digraph(p, _parse_pairs(lines[1:], q, "arc"))
 
 
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
-    p, q = int(header[0]), int(header[1])
-    pairs = _parse_pairs(lines[1:], q, "edge")
-    norm = [(u, v) if u <= v else (v, u) for u, v in pairs]
-    if len(set(norm)) != len(norm):
-        raise ValueError("duplicate edge in graph file")
-    return Graph(p, frozenset(norm))
+    return _parse_graph_lines(lines)
 
 
 def parse_digraph(text: str) -> Digraph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty digraph file")
-    header = lines[0].split()
-    if len(header) != 3 or header[2] != "d":
-        raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
-    p, q = int(header[0]), int(header[1])
-    pairs = _parse_pairs(lines[1:], q, "arc")
-    if len(set(pairs)) != len(pairs):
-        raise ValueError("duplicate arc in digraph file")
-    return Digraph(p, frozenset(pairs))
+    return _parse_digraph_lines(lines)
 
 
 def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
@@ -468,8 +503,8 @@ def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
     if not lines:
         raise ValueError("empty graph file")
     if len(lines[0].split()) == 3:
-        return parse_digraph(text)
-    return parse_graph(text)
+        return _parse_digraph_lines(lines)
+    return _parse_graph_lines(lines)
 
 
 def format_graph(g: Graph) -> str:

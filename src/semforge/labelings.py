@@ -12,9 +12,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import NotSem
 from .graphs import AdjacencyMatrix, Graph
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .families import CertifiedLabeledGraph
 
 
 @dataclass(frozen=True)
@@ -25,10 +29,11 @@ class VertexLabeling:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        bad = [x for x in labels if type(x) is not int]
-        if bad:
-            raise ValueError(f"labels must be integers, got {bad[0]!r}")
-        if sorted(labels) != list(range(1, len(labels) + 1)):
+        if not set(map(type, labels)) <= {int}:
+            bad = next(x for x in labels if type(x) is not int)
+            raise ValueError(f"labels must be integers, got {bad!r}")
+        # p integers that cover [1,p] are a bijection onto it
+        if not set(labels).issuperset(range(1, len(labels) + 1)):
             raise ValueError(
                 f"labels must be a bijection onto [1,{len(labels)}], got {labels}"
             )
@@ -118,7 +123,8 @@ def is_sem(g: Graph, labeling: VertexLabeling):
     vacuously certified with no window.
     """
     _check_order(g, labeling)
-    sums = [labeling.of(u) + labeling.of(v) for u, v in g.edges]
+    label = (0, *labeling.labels)  # label[v] is the label of vertex v
+    sums = [label[u] + label[v] for u, v in g.edges]
     q = len(sums)
     if q == 0:
         return True, None
@@ -220,7 +226,15 @@ def rotate_pi(matrix: AdjacencyMatrix) -> AdjacencyMatrix:
 
 def labeling_json(g: Graph, labeling: VertexLabeling) -> dict:
     """The labeling JSON object: p, labels, sem flag, window, magic sum."""
-    ok, window = is_sem(g, labeling)
+    return _labeling_object(g, labeling, *is_sem(g, labeling))
+
+
+def certificate_json(cert: "CertifiedLabeledGraph") -> dict:
+    """``labeling_json`` of a certificate, from the window its verification found."""
+    return _labeling_object(cert.graph, cert.labeling, True, cert.window)
+
+
+def _labeling_object(g: Graph, labeling: VertexLabeling, ok: bool, window) -> dict:
     return {
         "p": g.order,
         "labels": list(labeling.labels),

@@ -104,7 +104,7 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
         member = family.members[idx]
         for i, j in member.arcs:
             arcs.add((n * (a - 1) + i, n * (b - 1) + j))
-    return Digraph(host.order * n, arcs)
+    return Digraph(host.order * n, frozenset(arcs))
 
 
 def kronecker(d1: Digraph, d2: Digraph) -> Digraph:
@@ -130,6 +130,21 @@ def canonical_product_labeling(
     for every assignment into the family, so one verified product certifies
     them all.  Raises ``VerificationFailed`` if the verifier rejects.
     """
+    return lift_to_product(host, host_labeling, family, assignment).labeling
+
+
+def lift_to_product(
+    host: Digraph,
+    host_labeling: VertexLabeling,
+    family: LabeledFamily,
+    assignment: Mapping[Arc, int] | None = None,
+) -> CertifiedLabeledGraph:
+    """The underlying graph of the product with its verified block labeling.
+
+    Builds, normalises and verifies the product once; see
+    ``canonical_product_labeling``.  The certificate's window is ``None`` when
+    the product has no edges.
+    """
     ok, _ = is_sem(underlying(host), host_labeling)
     if not ok:
         raise NotSem("host labeling is not super edge-magic")
@@ -137,7 +152,7 @@ def canonical_product_labeling(
         raise ValueError("family has no members")
     if assignment is None:
         assignment = constant_assignment(host)
-    product = otimes_h(host, assignment, family)
+    product = underlying(otimes_h(host, assignment, family))
     n = family.n
     labels = [0] * product.order
     for a in range(1, host.order + 1):
@@ -145,12 +160,12 @@ def canonical_product_labeling(
         for i in range(1, n + 1):
             labels[n * (a - 1) + i - 1] = base + i
     labeling = VertexLabeling(tuple(labels))
-    ok, _ = is_sem(underlying(product), labeling)
+    ok, window = is_sem(product, labeling)
     if not ok:
         raise VerificationFailed(
             "block labeling of the product failed the SEM verifier"
         )
-    return labeling
+    return CertifiedLabeledGraph(product, labeling, window, "otimes_h block labeling")
 
 
 def corona_iso_check(k: int, n: int, *, node_budget: int | None = None) -> bool:
@@ -187,20 +202,17 @@ def corona_union_via_product(variant: str, **params):
     member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
     family = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     host = indegree_one_orientation(cycle_graph(k))
-    assignment = constant_assignment(host)
-    product = otimes_h(host, assignment, family)
     if k % 2 == 1:
-        labeling = canonical_product_labeling(
-            host, odd_cycle_labeling(k), family, assignment
-        )
-        return underlying(product), labeling
-    return underlying(product), None
+        lifted = lift_to_product(host, odd_cycle_labeling(k), family)
+        return lifted.graph, lifted.labeling
+    return underlying(otimes_h(host, constant_assignment(host), family)), None
 
 
 # --- family directory format ----------------------------------------------------
 #
 # A family lives in a directory holding one digraph edge-list file per member
-# plus family.json: {"n": int, "k": int, "members": [filename, ...]}.
+# plus family.json: {"n": int, "k": int, "members": [filename, ...]}; a member
+# is a plain file name in that directory, never a path out of it.
 # Assignment files pair host arcs with 0-based member indices, one
 # "a b member_index" line per arc.
 
@@ -228,6 +240,9 @@ def load_family(directory: str | Path) -> LabeledFamily:
         raise ValueError(f"family n and k must be integers, got n={n!r}, k={k!r}")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ValueError(f"family members must be a list of file names, got {names!r}")
+    for name in names:
+        if name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"family member {name!r} is not a file name inside {directory}")
     members = tuple(parse_digraph((directory / name).read_text()) for name in names)
     return LabeledFamily(n, k, members)
 

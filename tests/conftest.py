@@ -63,6 +63,46 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def reference_parse_edge_list(text: str):
+    """Naive edge-list parser: ``(directed, p, pairs)`` or ``ValueError``.
+
+    It checks what ``parse_graph_or_digraph`` checks, in the same order and
+    with the same messages, without sharing its code: the endpoint named for
+    an out-of-range pair is the smallest such (normalised) pair.
+    """
+    lines = [raw.split("#")[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise ValueError("empty graph file")
+    header = lines[0].split()
+    directed = len(header) == 3
+    if directed and header[2] != "d":
+        raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
+    if not directed and len(header) != 2:
+        raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
+    p, q = int(header[0]), int(header[1])
+    what, kind = ("arc", "digraph") if directed else ("edge", "graph")
+    if len(lines) - 1 != q:
+        raise ValueError(f"expected {q} {what} lines, found {len(lines) - 1}")
+    pairs = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed {what} line: {line!r}")
+        u, v = int(parts[0]), int(parts[1])
+        pairs.append((u, v) if directed else (min(u, v), max(u, v)))
+    for i, pair in enumerate(pairs):
+        if pair in pairs[:i]:
+            raise ValueError(f"duplicate {what} in {kind} file")
+    if p < 1:
+        raise ValueError(f"{kind} order must be positive, got {p}")
+    outside = sorted(e for e in pairs if not (1 <= e[0] <= p and 1 <= e[1] <= p))
+    if outside:
+        u, v = outside[0]
+        raise ValueError(f"{what} ({u},{v}) has an endpoint outside [1,{p}]")
+    return directed, p, frozenset(pairs)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EC0)

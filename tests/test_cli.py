@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semforge.cli import export_dot, main
-from semforge.families import build_two_lk11_lk1n, cycle_graph, loop_graph, star_with_loop
+from semforge.families import (
+    build_two_lk11_lk1n,
+    cycle_graph,
+    loop_graph,
+    odd_cycle_labeling,
+    star_with_loop,
+)
 from semforge.graphs import (
     disjoint_union,
     format_digraph,
@@ -16,9 +23,17 @@ from semforge.graphs import (
     indegree_one_orientation,
     parse_digraph,
     parse_graph,
+    underlying,
 )
-from semforge.labelings import identity_labeling, labeling_json
-from semforge.product import LabeledFamily, load_family, save_family
+from semforge.labelings import identity_labeling, is_sem, labeling_json
+from semforge.product import (
+    LabeledFamily,
+    canonical_product_labeling,
+    constant_assignment,
+    load_family,
+    otimes_h,
+    save_family,
+)
 from semforge.search import enumerate_snk
 
 
@@ -41,7 +56,12 @@ _JSON = st.recursive(
     | st.dictionaries(st.sampled_from(["n", "k", "members", "x"]), inner, max_size=3),
     max_leaves=6,
 )
-_NAMES = st.sampled_from(["m0.txt", "m1.txt", "m2.txt", "absent.txt", "", ".."])
+# m0.txt also exists next to the family directory and in its subdirectory sub/,
+# so a name that leaves the directory or enters sub/ would find a member.
+_NAMES = st.sampled_from([
+    "m0.txt", "m1.txt", "m2.txt", "absent.txt", "", "..", ".", "../m0.txt",
+    "sub/m0.txt", "./m0.txt", "sub/../m0.txt",
+])
 _FAMILY_JSON = st.one_of(
     st.fixed_dictionaries({
         "n": st.just(2) | st.just(True) | _JSON,
@@ -51,6 +71,22 @@ _FAMILY_JSON = st.one_of(
     _JSON.map(json.dumps),
     st.text(alphabet='{}[]":,1n ', max_size=12),
 )
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call of ``fn`` made through a semforge module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "semforge" or name.startswith("semforge.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture
@@ -118,6 +154,15 @@ class TestConstruct:
         )
         assert result.exit_code == 0
         assert '"v1" -- "v1";' in result.output
+
+    def test_json_verifies_once(self, runner, monkeypatch):
+        verified = count_calls(monkeypatch, is_sem)
+        result = runner.invoke(
+            main, ["construct", "--family", "2lk1m-lk1n", "--params", "m=2,n=3", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["sem"] is True
+        assert len(verified) == 1
 
     def test_primitive_json_is_usage_error(self, runner):
         result = runner.invoke(main, ["construct", "--family", "cycle", "--params", "k=3"])
@@ -259,6 +304,29 @@ class TestProductCommand:
         data = json.loads(result.output)
         assert data["sem"] is True and data["p"] == 6
 
+    def test_labeling_builds_and_verifies_the_product_once(self, runner, tmp_path, monkeypatch):
+        host = indegree_one_orientation(cycle_graph(5))
+        fam = enumerate_snk(3, 3)
+        host_lab = odd_cycle_labeling(5)
+        prod = underlying(otimes_h(host, constant_assignment(host, 1), fam))
+        expected = labeling_json(prod, canonical_product_labeling(host, host_lab, fam))
+        gpath = tmp_path / "c5.txt"
+        gpath.write_text(format_graph(cycle_graph(5)))
+        lpath = tmp_path / "c5lab.json"
+        lpath.write_text(json.dumps({"p": 5, "labels": list(host_lab.labels)}))
+        products = count_calls(monkeypatch, otimes_h)
+        normalised = count_calls(monkeypatch, underlying)
+        verified = count_calls(monkeypatch, is_sem)
+        result = runner.invoke(main, [
+            "product", "--graph", str(gpath), "--snk", "3,3", "--member", "1",
+            "--host-labeling", str(lpath), "--emit", "labeling",
+        ])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == expected
+        assert len(products) == 1
+        assert len([args for args in normalised if args[0].order == 15]) == 1
+        assert len([args for args in verified if args[0].order == 15]) == 1
+
     def test_assignment_file(self, runner, tmp_path):
         host = indegree_one_orientation(cycle_graph(3))
         hpath = tmp_path / "host.txt"
@@ -330,6 +398,24 @@ class TestProductCommand:
         result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name", ["../outside.txt", "OUTSIDE", "sub/m.txt", "./m.txt"])
+    def test_family_member_outside_directory_usage_error(self, runner, tmp_path, name):
+        hpath = tmp_path / "host.txt"
+        hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+        member = "1 1 d\n1 1\n"
+        (tmp_path / "outside.txt").write_text(member)
+        fam = tmp_path / "fam"
+        (fam / "sub").mkdir(parents=True)
+        (fam / "m.txt").write_text(member)
+        (fam / "sub" / "m.txt").write_text(member)
+        if name == "OUTSIDE":
+            name = str(tmp_path / "outside.txt")
+        (fam / "family.json").write_text(json.dumps({"n": 1, "k": 2, "members": [name]}))
+        with pytest.raises(ValueError, match="not a file name"):
+            load_family(fam)
+        result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
+        assert result.exit_code == 2
+
     @settings(max_examples=60, deadline=None)
     @given(_FAMILY_JSON, st.lists(st.sampled_from(_MEMBER_TEXTS), min_size=3, max_size=3))
     def test_family_dir_loads_or_exits_two(self, meta, bodies):
@@ -337,10 +423,12 @@ class TestProductCommand:
             hpath = Path(tmp) / "host.txt"
             hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
             fam = Path(tmp) / "fam"
-            fam.mkdir()
+            (fam / "sub").mkdir(parents=True)
             (fam / "family.json").write_text(meta)
             for i, body in enumerate(bodies):
                 (fam / f"m{i}.txt").write_text(body)
+            for elsewhere in (Path(tmp), fam / "sub"):
+                (elsewhere / "m0.txt").write_text(bodies[0])
             try:
                 family = load_family(fam)
             except (ValueError, KeyError, TypeError, OSError):
@@ -349,6 +437,7 @@ class TestProductCommand:
                 return
             data = json.loads(meta)
             assert isinstance(family, LabeledFamily) and isinstance(data["members"], list)
+            assert all(Path(name).name == name != ".." for name in data["members"])
             assert type(family.n) is int and type(family.k) is int
             assert (family.n, family.k) == (data["n"], data["k"])
 

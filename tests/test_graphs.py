@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semforge.errors import NoSuchOrientation
 from semforge.graphs import (
@@ -26,7 +28,29 @@ from conftest import (
     brute_force_isomorphic,
     random_equal_order_size_graph,
     random_indegree_one_graph,
+    reference_parse_edge_list,
 )
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, mostly well formed: graph and digraph headers with
+    comments, blank lines, swapped endpoints, duplicates, out-of-range
+    endpoints, lines of 1 or 3 tokens and wrong counts."""
+    p = draw(st.sampled_from([-1, 0] + [1, 2, 3, 4, 5, 6] * 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6))
+    q = len(pairs) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    head = draw(st.sampled_from(
+        ["{p} {q}"] * 4 + ["{p} {q} d"] * 4 + ["{p} {q} x", "{p}", "{p} {q} d d", "x {q}"]
+    ))
+    lines = [head.format(p=p, q=q)] + [f"{u} {v}" for u, v in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.sampled_from(["", "   ", "# a comment", "1", "1 2 3", "2 1", "a b"]))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    tails = draw(st.lists(
+        st.sampled_from(["", "", " # note", "#1 2", "\t"]), min_size=len(lines), max_size=len(lines)
+    ))
+    return "\n".join(line + tail for line, tail in zip(lines, tails)) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestConstruction:
@@ -44,6 +68,37 @@ class TestConstruction:
     def test_order_positive(self):
         with pytest.raises(ValueError):
             Graph(0, [])
+
+    @pytest.mark.parametrize("cls", [Graph, Digraph])
+    @pytest.mark.parametrize("pair", [(1.5, 2), (True, 2), (1, 2.0), ("1", 2), (1.9, 2)])
+    def test_non_integer_vertices_rejected(self, cls, pair):
+        with pytest.raises(ValueError, match="integers"):
+            cls(2, [pair])
+        with pytest.raises(ValueError, match="integers"):
+            cls(2, frozenset({pair}))
+
+    @pytest.mark.parametrize("cls", [Graph, Digraph])
+    @pytest.mark.parametrize("pairs", [[(1, 2, 3)], [(1,)], [5], frozenset({(1, 2, 2)}), 7])
+    def test_non_pairs_rejected(self, cls, pairs):
+        with pytest.raises(ValueError, match="pairs"):
+            cls(3, pairs)
+
+    def test_pair_lists_accepted(self):
+        assert Graph(3, [[2, 1], [3, 3]]).edges == frozenset({(1, 2), (3, 3)})
+        assert Digraph(2, [[2, 1]]).arcs == frozenset({(2, 1)})
+
+    def test_normalised_frozenset_kept(self):
+        edges = frozenset({(1, 2), (2, 2)})
+        assert Graph(2, edges).edges is edges
+        arcs = frozenset({(2, 1)})
+        assert Digraph(2, arcs).arcs is arcs
+        assert Graph(2, arcs).edges == frozenset({(1, 2)})
+
+    def test_out_of_range_names_smallest_pair(self):
+        with pytest.raises(ValueError, match=r"edge \(1,9\) has an endpoint outside \[1,3\]"):
+            Graph(3, [(2, 8), (9, 1), (5, 4)])
+        with pytest.raises(ValueError, match=r"arc \(0,3\) has an endpoint outside \[1,3\]"):
+            Digraph(3, [(9, 9), (2, 8), (9, 1), (0, 3)])
 
     def test_degree_counts_loops_twice(self):
         g = star_with_loop(2)
@@ -89,6 +144,22 @@ class TestIndegreeOneOrientation:
         d = indegree_one_orientation(star_with_loop(4))
         for leaf in range(2, 6):
             assert d.outdegree(leaf) == 0
+
+    def test_many_components(self):
+        g = Graph(15, [
+            (1, 1), (2, 2),  # loops
+            (3, 4), (4, 5), (3, 5),  # C3
+            (6, 7), (7, 8), (8, 9), (9, 10), (6, 10),  # C5
+            (11, 12), (12, 13), (11, 13), (12, 14), (14, 15),  # C3 with a path hung on 12
+        ])
+        assert indegree_one_orientation(g).arcs == frozenset({
+            (1, 1), (2, 2),
+            (3, 4), (4, 5), (5, 3),
+            (6, 7), (7, 8), (8, 9), (9, 10), (10, 6),
+            (11, 12), (12, 13), (13, 11), (12, 14), (14, 15),
+        })
+        loops = Graph(4000, [(v, v) for v in range(1, 4001)])
+        assert indegree_one_orientation(loops).arcs == loops.edges
 
     def test_round_trip_on_random_domain(self, rng):
         for _ in range(60):
@@ -240,6 +311,20 @@ class TestTextFormat:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
             parse_graph("2 2\n1 2\n2 1\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_parse_matches_reference(self, text):
+        try:
+            directed, p, pairs = reference_parse_edge_list(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_graph_or_digraph(text)
+            assert str(info.value) == str(exc)
+            return
+        g = parse_graph_or_digraph(text)
+        assert isinstance(g, Digraph) == directed and g.order == p
+        assert (g.arcs if directed else g.edges) == pairs
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
