@@ -28,12 +28,12 @@ from .families import CertifiedLabeledGraph, construct_family
 from .graphs import (
     Digraph,
     Graph,
+    _read_edge_list,
     adjacency_matrix,
     format_digraph,
     format_graph,
     indegree_one_orientation,
     parse_graph_or_digraph,
-    underlying,
 )
 from .labelings import (
     VertexLabeling,
@@ -106,11 +106,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_graph(path: str) -> Graph:
+    """Read a graph; a digraph file is read straight into its underlying graph."""
     try:
-        obj = parse_graph_or_digraph(Path(path).read_text())
+        directed, p, pairs = _read_edge_list(Path(path).read_text())
+        try:
+            return Graph(p, pairs)
+        except ValueError:
+            if directed:
+                Digraph(p, pairs)  # raises with the digraph file's own message
+            raise
     except (ValueError, OSError) as exc:
         raise click.UsageError(f"cannot read graph file {path}: {exc}")
-    return underlying(obj) if isinstance(obj, Digraph) else obj
 
 
 def _load_digraph(path: str) -> Digraph:

@@ -39,8 +39,7 @@ class Graph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"graph order must be positive, got {self.order}")
+        _check_order(self.order, "graph")
         object.__setattr__(self, "edges", _vertex_pairs(self.edges, self.order, "edge"))
 
     @property
@@ -103,8 +102,7 @@ class Digraph:
     arcs: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"digraph order must be positive, got {self.order}")
+        _check_order(self.order, "digraph")
         object.__setattr__(self, "arcs", _vertex_pairs(self.arcs, self.order, "arc"))
 
     @property
@@ -120,6 +118,13 @@ class Digraph:
 
     def outdegree(self, v: int) -> int:
         return sum(1 for a, _ in self.arcs if a == v)
+
+
+def _check_order(order, kind: str) -> None:
+    if type(order) is not int:
+        raise ValueError(f"{kind} order must be an integer, got {order!r}")
+    if order < 1:
+        raise ValueError(f"{kind} order must be positive, got {order}")
 
 
 def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
@@ -186,7 +191,7 @@ class AdjacencyMatrix:
 
 def underlying(d: Digraph) -> Graph:
     """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops."""
-    return Graph(d.order, frozenset((a, b) if a <= b else (b, a) for a, b in d.arcs))
+    return Graph(d.order, frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in d.arcs))
 
 
 def relabel_digraph(d: Digraph, labeling: "VertexLabeling | Sequence[int]") -> Digraph:
@@ -206,65 +211,75 @@ def indegree_one_orientation(g: Graph) -> Digraph:
     its smaller cycle neighbour) and tree edges point away from the cycle, so
     the output is deterministic and degree-1 vertices get outdegree 0.
     """
-    comps = g.components()
-    comp_of = [0] * (g.order + 1)
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    edges_of: list[list[Edge]] = [[] for _ in comps]
-    for e in g.edges:
-        edges_of[comp_of[e[0]]].append(e)
-    arcs: set[Arc] = set()
-    for comp, comp_edges in zip(comps, edges_of):
-        if len(comp_edges) < len(comp):
-            raise NoSuchOrientation(
-                f"component {comp} has no cycle (it is a tree)"
-            )
-        if len(comp_edges) > len(comp):
-            raise NoSuchOrientation(
-                f"component {comp} has more than one independent cycle"
-            )
-        deg = {v: 0 for v in comp}
-        adj = {v: [] for v in comp}
-        loops = set()
-        for u, v in comp_edges:
-            if u == v:
-                loops.add(u)
-                deg[u] += 2
-            else:
-                deg[u] += 1
-                deg[v] += 1
-                adj[u].append(v)
-                adj[v].append(u)
-        # Strip degree-1 vertices; the survivors form the unique cycle.
-        alive = set(comp)
-        queue = deque(v for v in comp if deg[v] == 1)
-        while queue:
-            leaf = queue.popleft()
-            if leaf not in alive:
-                continue
-            alive.discard(leaf)
-            for u in adj[leaf]:
-                if u in alive:
-                    deg[u] -= 1
-                    arcs.add((u, leaf))  # tree edge points away from the cycle
-                    if deg[u] == 1:
-                        queue.append(u)
-                    break
-        core = sorted(alive)
-        if len(core) == 1 and core[0] in loops:
-            arcs.add((core[0], core[0]))
+    n = g.order
+    edges = g.edges
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    loops = []
+    for u, v in edges:
+        if u == v:
+            loops.append(u)
+        else:
+            adj[u].append(v)
+            adj[v].append(u)
+    deg = [len(nbrs) for nbrs in adj]  # a loop counts 2
+    for v in loops:
+        deg[v] += 2
+    # Components in order of their smallest vertex; each needs as many edges
+    # as vertices, i.e. a degree sum of twice its vertex count.
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
+        if seen[start]:
             continue
-        core_adj = {v: sorted(u for u in adj[v] if u in alive) for v in core}
-        start = core[0]
-        nxt = core_adj[start][0]
-        arcs.add((start, nxt))
-        prev, cur = start, nxt
+        seen[start] = True
+        comp = [start]
+        twice_size = 0
+        for v in comp:  # breadth-first: comp grows while it is read
+            twice_size += deg[v]
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        if twice_size != 2 * len(comp):
+            problem = (
+                "has no cycle (it is a tree)" if twice_size < 2 * len(comp)
+                else "has more than one independent cycle"
+            )
+            raise NoSuchOrientation(f"component {sorted(comp)} {problem}")
+    # Strip degree-1 vertices; the survivors form the cycles.  A stripped
+    # vertex gets degree 0.
+    arcs: list[Arc] = []
+    stack = [v for v in range(1, n + 1) if deg[v] == 1]
+    while stack:
+        leaf = stack.pop()
+        deg[leaf] = 0
+        for u in adj[leaf]:
+            if deg[u]:
+                break
+        arcs.append((u, leaf))  # tree edge points away from the cycle
+        deg[u] -= 1
+        if deg[u] == 1:
+            stack.append(u)
+    # The first survivor met in a component is its smallest cycle vertex.
+    # Each cycle vertex is zeroed as it is oriented, so its only surviving
+    # neighbour is the next one; the last has none and closes at the start.
+    for start in range(1, n + 1):
+        if not deg[start]:
+            continue
+        deg[start] = 0
+        if (start, start) in edges:
+            arcs.append((start, start))
+            continue
+        cur = min(u for u in adj[start] if deg[u])
+        arcs.append((start, cur))
         while cur != start:
-            a, b = core_adj[cur]
-            nxt = b if a == prev else a
-            arcs.add((cur, nxt))
-            prev, cur = cur, nxt
+            deg[cur] = 0
+            for nxt in adj[cur]:
+                if deg[nxt]:
+                    break
+            else:
+                nxt = start
+            arcs.append((cur, nxt))
+            cur = nxt
     return Digraph(g.order, frozenset(arcs))
 
 
@@ -468,43 +483,55 @@ def _parse_pairs(lines: list[str], q: int, what: str) -> frozenset:
     return found
 
 
-def _parse_graph_lines(lines: list[str]) -> Graph:
+def _graph_lines(lines: list[str]) -> tuple[int, frozenset]:
+    """Order and normalised edge set of a graph file's content lines."""
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
     p, q = int(header[0]), int(header[1])
-    return Graph(p, _parse_pairs(lines[1:], q, "edge"))
+    return p, _parse_pairs(lines[1:], q, "edge")
 
 
-def _parse_digraph_lines(lines: list[str]) -> Digraph:
+def _digraph_lines(lines: list[str]) -> tuple[int, frozenset]:
+    """Order and arc set of a digraph file's content lines."""
     header = lines[0].split()
     if len(header) != 3 or header[2] != "d":
         raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
     p, q = int(header[0]), int(header[1])
-    return Digraph(p, _parse_pairs(lines[1:], q, "arc"))
+    return p, _parse_pairs(lines[1:], q, "arc")
 
 
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
-    return _parse_graph_lines(lines)
+    return Graph(*_graph_lines(lines))
 
 
 def parse_digraph(text: str) -> Digraph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty digraph file")
-    return _parse_digraph_lines(lines)
+    return Digraph(*_digraph_lines(lines))
 
 
-def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
+def _read_edge_list(text: str) -> tuple[bool, int, frozenset]:
+    """``(directed, p, pairs)`` of a graph or digraph file.
+
+    The pairs are not yet checked against p: building the graph is left to
+    the caller, after the text and its lines are freed.
+    """
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
     if len(lines[0].split()) == 3:
-        return _parse_digraph_lines(lines)
-    return _parse_graph_lines(lines)
+        return (True, *_digraph_lines(lines))
+    return (False, *_graph_lines(lines))
+
+
+def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
+    directed, p, pairs = _read_edge_list(text)
+    return Digraph(p, pairs) if directed else Graph(p, pairs)
 
 
 def format_graph(g: Graph) -> str:

@@ -70,9 +70,9 @@ class SumWindow:
 class FullLabeling:
     """Labels for vertices and edges together with the claimed magic sum.
 
-    Construction only normalises shapes; semantic validity is the business of
-    ``verify_edge_magic``, so deliberately broken labelings can be represented
-    and rejected there.
+    Construction only rejects labels that are not ``int`` and normalises
+    shapes; semantic validity is the business of ``verify_edge_magic``, so
+    deliberately broken labelings can be represented and rejected there.
     """
 
     vertex_labels: tuple
@@ -80,13 +80,13 @@ class FullLabeling:
     magic_sum: int
 
     def __post_init__(self):
-        vl = tuple(int(x) for x in self.vertex_labels)
-        el = tuple(
-            sorted(
-                ((u, v) if u <= v else (v, u), int(lab))
-                for (u, v), lab in self.edge_labels
-            )
-        )
+        vl = tuple(self.vertex_labels)
+        el = [((u, v) if u <= v else (v, u), lab) for (u, v), lab in self.edge_labels]
+        for kind, labels in (("vertex", vl), ("edge", [lab for _, lab in el])):
+            if not set(map(type, labels)) <= {int}:
+                bad = next(x for x in labels if type(x) is not int)
+                raise ValueError(f"{kind} labels must be integers, got {bad!r}")
+        el = tuple(sorted(el))
         object.__setattr__(self, "vertex_labels", vl)
         object.__setattr__(self, "edge_labels", el)
 

@@ -87,23 +87,25 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     Product vertex (a, i) is encoded as n(a-1)+i, so outputs are deterministic.
     """
     n = family.n
-    missing = [arc for arc in host.sorted_arcs if arc not in assignment]
+    members = family.members
+    host_arcs = host.sorted_arcs
+    missing = [arc for arc in host_arcs if arc not in assignment]
     if missing:
         raise BadAssignment(f"assignment misses host arcs {missing}")
-    if len(assignment) != len(host.arcs):
+    if len(assignment) != len(host_arcs):
         extra = sorted(arc for arc in assignment if arc not in host.arcs)
         raise BadAssignment(f"assignment names arcs not in the host: {extra}")
     arcs = set()
-    for a, b in host.sorted_arcs:
-        idx = assignment[(a, b)]
-        if not 0 <= idx < len(family.members):
+    for arc in host_arcs:  # in sorted order, so the smallest bad arc is named
+        idx = assignment[arc]
+        a, b = arc
+        if not 0 <= idx < len(members):
             raise BadAssignment(
                 f"assignment maps arc ({a},{b}) to member {idx}, "
-                f"but the family has {len(family.members)} members"
+                f"but the family has {len(members)} members"
             )
-        member = family.members[idx]
-        for i, j in member.arcs:
-            arcs.add((n * (a - 1) + i, n * (b - 1) + j))
+        da, db = n * (a - 1), n * (b - 1)
+        arcs.update([(da + i, db + j) for i, j in members[idx].arcs])
     return Digraph(host.order * n, frozenset(arcs))
 
 
@@ -154,12 +156,10 @@ def lift_to_product(
         assignment = constant_assignment(host)
     product = underlying(otimes_h(host, assignment, family))
     n = family.n
-    labels = [0] * product.order
-    for a in range(1, host.order + 1):
-        base = n * (host_labeling.of(a) - 1)
-        for i in range(1, n + 1):
-            labels[n * (a - 1) + i - 1] = base + i
-    labeling = VertexLabeling(tuple(labels))
+    # product vertex n(a-1)+i gets label n(f(a)-1)+i, in vertex order
+    labeling = VertexLabeling(
+        tuple([n * (f - 1) + i for f in host_labeling.labels for i in range(1, n + 1)])
+    )
     ok, window = is_sem(product, labeling)
     if not ok:
         raise VerificationFailed(

@@ -9,6 +9,7 @@ from itertools import permutations
 
 import pytest
 
+from semforge.errors import NoSuchOrientation
 from semforge.graphs import Graph, disjoint_union
 
 
@@ -101,6 +102,65 @@ def reference_parse_edge_list(text: str):
         u, v = outside[0]
         raise ValueError(f"{what} ({u},{v}) has an endpoint outside [1,{p}]")
     return directed, p, frozenset(pairs)
+
+
+def reference_indegree_one_orientation(g: Graph) -> frozenset:
+    """Naive indegree-1 orientation: the arc set, or ``NoSuchOrientation``.
+
+    It follows the rule of ``indegree_one_orientation``'s docstring without
+    sharing its code: components in order of their smallest vertex, each with
+    as many edges as vertices; leaves stripped until the cycle remains; the
+    cycle walked from its smallest vertex toward its smaller cycle neighbour;
+    tree edges pointing away from the cycle.
+    """
+    edges = sorted(g.edges)
+    # each vertex takes the smallest vertex of its component as its name
+    name = list(range(g.order + 1))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(name[u], name[v])
+            if (name[u], name[v]) != (low, low):
+                name[u] = name[v] = low
+                changed = True
+    comps = [[v for v in range(1, g.order + 1) if name[v] == c]
+             for c in sorted(set(name[1:]))]
+    for comp in comps:
+        size = sum(1 for u, _ in edges if u in comp)
+        if size < len(comp):
+            raise NoSuchOrientation(f"component {comp} has no cycle (it is a tree)")
+        if size > len(comp):
+            raise NoSuchOrientation(f"component {comp} has more than one independent cycle")
+    arcs = set()
+    for comp in comps:
+        rest = [e for e in edges if e[0] in comp]
+        while True:
+            leaves = [v for v in comp if sum((u == v) + (w == v) for u, w in rest) == 1]
+            if not leaves:
+                break
+            rest = [e for e in rest if leaves[0] not in e]
+        cycle = sorted({v for e in rest for v in e})
+        if len(rest) == 1:  # a loop
+            arcs.add(rest[0])
+        else:
+            walk = [cycle[0], min(w if u == cycle[0] else u for u, w in rest if cycle[0] in (u, w))]
+            while len(walk) < len(cycle):
+                walk.append(next(w if u == walk[-1] else u for u, w in rest
+                                 if walk[-1] in (u, w) and walk[-2] not in (u, w)))
+            arcs.update(zip(walk, walk[1:] + walk[:1]))
+        # distance from the cycle; a tree edge points to its farther end
+        dist = {v: 0 for v in cycle}
+        while len(dist) < len(comp):
+            for u, w in edges:
+                if u in dist and w not in dist:
+                    dist[w] = dist[u] + 1
+                elif w in dist and u not in dist:
+                    dist[u] = dist[w] + 1
+        for u, w in edges:
+            if u in comp and dist[u] != dist[w]:
+                arcs.add((u, w) if dist[u] < dist[w] else (w, u))
+    return frozenset(arcs)
 
 
 @pytest.fixture

@@ -228,6 +228,55 @@ class TestVerify:
         assert result.exit_code == 2
 
 
+class TestDigraphFileAsGraph:
+    """``verify`` and ``complement`` read a digraph file as its underlying graph."""
+
+    @pytest.mark.parametrize("command", ["verify", "complement"])
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 d\n1 2\n1 2\n", "duplicate arc in digraph file"),
+        # the smallest arc as written is named, not the smallest edge
+        ("2 3 d\n1 2\n3 1\n2 5\n", "arc (2,5) has an endpoint outside [1,2]"),
+        ("2 2 d\n1 2\n0 1\n", "arc (0,1) has an endpoint outside [1,2]"),
+        ("2 2 d\n1 2\n1 2 3\n", "malformed arc line: '1 2 3'"),
+        ("2 2 d\n1 2\n", "expected 2 arc lines, found 1"),
+        ("2 1 d\n1 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("0 0 d\n", "digraph order must be positive, got 0"),
+        ("2 1 e\n1 2\n", "digraph header must be 'p q d', got '2 1 e'"),
+    ])
+    def test_usage_errors(self, runner, tmp_path, command, text, message):
+        gpath = tmp_path / "d.txt"
+        lpath = tmp_path / "l.json"
+        gpath.write_text(text)
+        lpath.write_text(json.dumps({"labels": [1, 2]}))
+        result = runner.invoke(main, [command, "--graph", str(gpath), "--labeling", str(lpath)])
+        assert result.exit_code == 2
+        assert f"Error: cannot read graph file {gpath}: {message}\n" in result.output
+
+    def test_verify_builds_one_graph(self, runner, tmp_path, monkeypatch):
+        host = indegree_one_orientation(cycle_graph(3))
+        family = LabeledFamily(2, 2, tuple(enumerate_snk(2, 2)))
+        lifted = canonical_product_labeling(host, odd_cycle_labeling(3), family)
+        gpath = tmp_path / "prod.txt"
+        lpath = tmp_path / "l.json"
+        gpath.write_text(format_digraph(otimes_h(host, constant_assignment(host), family)))
+        lpath.write_text(json.dumps({"labels": list(lifted.labels)}))
+        normalised = count_calls(monkeypatch, underlying)
+        verified = count_calls(monkeypatch, is_sem)
+        result = runner.invoke(main, ["verify", "--graph", str(gpath), "--labeling", str(lpath)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["sem"] is True
+        assert (len(normalised), len(verified)) == (0, 1)
+
+    def test_antiparallel_arcs_are_one_edge(self, runner, tmp_path):
+        gpath = tmp_path / "d.txt"
+        lpath = tmp_path / "l.json"
+        gpath.write_text("2 3 d\n2 1\n1 2\n2 2\n")
+        lpath.write_text(json.dumps({"labels": [1, 2]}))
+        result = runner.invoke(main, ["verify", "--graph", str(gpath), "--labeling", str(lpath)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["window"] == [3, 4]
+
+
 class TestSearchCommand:
     def test_witness_exit_zero(self, runner, tmp_path):
         gpath = tmp_path / "star.txt"

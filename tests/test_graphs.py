@@ -25,11 +25,36 @@ from semforge.graphs import (
 from semforge.families import caterpillar_graph, cycle_graph, loop_graph, star_with_loop
 
 from conftest import (
+    all_possible_edges,
     brute_force_isomorphic,
     random_equal_order_size_graph,
     random_indegree_one_graph,
+    reference_indegree_one_orientation,
     reference_parse_edge_list,
 )
+
+
+def orientation_outcome(orient, g):
+    """The arc set an orientation function returns, or its error message."""
+    try:
+        result = orient(g)
+    except NoSuchOrientation as exc:
+        return f"NoSuchOrientation: {exc}"
+    return getattr(result, "arcs", result)
+
+
+@st.composite
+def orientation_inputs(draw):
+    """Graphs in the orientation's domain, random loop-allowed graphs, and
+    unions of both, so that bad components follow good ones."""
+    rng = draw(st.randoms(use_true_random=False))
+    good = random_indegree_one_graph(rng, max_order=draw(st.integers(1, 12)))
+    p = draw(st.integers(1, 7))
+    edges = draw(st.sets(st.sampled_from(all_possible_edges(p)), max_size=p + 2))
+    other = Graph(p, frozenset(edges))
+    return draw(st.sampled_from([
+        good, other, disjoint_union([good, other]), disjoint_union([other, good])
+    ]))
 
 
 @st.composite
@@ -68,6 +93,13 @@ class TestConstruction:
     def test_order_positive(self):
         with pytest.raises(ValueError):
             Graph(0, [])
+
+    @pytest.mark.parametrize("cls, kind", [(Graph, "graph"), (Digraph, "digraph")])
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, "3"])
+    def test_non_integer_order_rejected(self, cls, kind, order):
+        with pytest.raises(ValueError) as info:
+            cls(order, [(1, 1)])
+        assert str(info.value) == f"{kind} order must be an integer, got {order!r}"
 
     @pytest.mark.parametrize("cls", [Graph, Digraph])
     @pytest.mark.parametrize("pair", [(1.5, 2), (True, 2), (1, 2.0), ("1", 2), (1.9, 2)])
@@ -140,6 +172,24 @@ class TestIndegreeOneOrientation:
         with pytest.raises(NoSuchOrientation):
             indegree_one_orientation(Graph(2, [(1, 1), (2, 2), (1, 2)]))
 
+    @pytest.mark.parametrize("g, message", [
+        (Graph(2, [(1, 2)]), "component [1, 2] has no cycle (it is a tree)"),
+        (Graph(3, [(1, 1), (2, 2)]), "component [3] has no cycle (it is a tree)"),
+        (Graph(2, [(1, 1), (2, 2), (1, 2)]),
+         "component [1, 2] has more than one independent cycle"),
+        # several bad components: the one with the smallest vertex is named
+        (Graph(7, [(1, 1), (2, 3), (4, 4), (5, 5), (4, 5), (6, 7)]),
+         "component [2, 3] has no cycle (it is a tree)"),
+        (Graph(6, [(1, 6), (6, 6), (1, 1), (2, 3)]),
+         "component [1, 6] has more than one independent cycle"),
+        (Graph(8, [(8, 8), (3, 7), (7, 3), (5, 7), (3, 5), (4, 6), (2, 2), (1, 2)]),
+         "component [4, 6] has no cycle (it is a tree)"),
+    ])
+    def test_messages(self, g, message):
+        with pytest.raises(NoSuchOrientation) as info:
+            indegree_one_orientation(g)
+        assert str(info.value) == message
+
     def test_leaves_get_outdegree_zero(self):
         d = indegree_one_orientation(star_with_loop(4))
         for leaf in range(2, 6):
@@ -160,6 +210,13 @@ class TestIndegreeOneOrientation:
         })
         loops = Graph(4000, [(v, v) for v in range(1, 4001)])
         assert indegree_one_orientation(loops).arcs == loops.edges
+
+    @settings(max_examples=500, deadline=None)
+    @given(orientation_inputs())
+    def test_matches_reference(self, g):
+        assert orientation_outcome(indegree_one_orientation, g) == orientation_outcome(
+            reference_indegree_one_orientation, g
+        )
 
     def test_round_trip_on_random_domain(self, rng):
         for _ in range(60):

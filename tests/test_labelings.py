@@ -165,6 +165,25 @@ class TestCompletion:
         assert edge_labels == list(range(g.order + 1, g.order + g.size + 1))
 
 
+class TestFullLabeling:
+    def test_normalises_edges(self):
+        full = FullLabeling([2, 1], [((2, 1), 3), ((1, 1), 4)], 6)
+        assert full.vertex_labels == (2, 1)
+        assert full.edge_labels == (((1, 1), 4), ((1, 2), 3))
+
+    @pytest.mark.parametrize("vertex_labels, edge_labels, message", [
+        ((1.9, 2), [((1, 2), 3.7)], "vertex labels must be integers, got 1.9"),
+        ((1, 2), [((1, 2), 3.7)], "edge labels must be integers, got 3.7"),
+        ((True, 2), [((1, 2), 3)], "vertex labels must be integers, got True"),
+        ((1, 2), [((1, 2), "3")], "edge labels must be integers, got '3'"),
+        ((1, 2), [((1, 1), 4), ((1, 2), 3.0)], "edge labels must be integers, got 3.0"),
+    ])
+    def test_rejects_non_integers(self, vertex_labels, edge_labels, message):
+        with pytest.raises(ValueError) as info:
+            FullLabeling(vertex_labels, edge_labels, 6)
+        assert str(info.value) == message
+
+
 class TestVerifyEdgeMagic:
     def test_perturbed_edge_label_fails(self):
         g = star_with_loop(2)

@@ -106,6 +106,33 @@ class TestOtimesH:
         with pytest.raises(BadAssignment):
             otimes_h(LOOP_D, {(1, 1): 5}, S22)
 
+    @pytest.mark.parametrize("assignment, message", [
+        ({(2, 3): 0}, "assignment misses host arcs [(1, 2), (3, 1)]"),
+        # a missing arc is reported before an extra one
+        ({(2, 3): 0, (2, 1): 0, (1, 3): 0},
+         "assignment misses host arcs [(1, 2), (3, 1)]"),
+        ({(1, 2): 0, (2, 3): 1, (3, 1): 0, (3, 2): 0, (1, 3): 1},
+         "assignment names arcs not in the host: [(1, 3), (3, 2)]"),
+        # the first bad member in sorted host-arc order is named
+        ({(3, 1): 5, (2, 3): 7, (1, 2): 0},
+         "assignment maps arc (2,3) to member 7, but the family has 2 members"),
+        ({(3, 1): -1, (2, 3): 1, (1, 2): 0},
+         "assignment maps arc (3,1) to member -1, but the family has 2 members"),
+    ])
+    def test_messages(self, assignment, message):
+        with pytest.raises(BadAssignment) as info:
+            otimes_h(oriented_cycle(3), assignment, S22)
+        assert str(info.value) == message
+
+    def test_first_bad_member_in_sorted_order(self):
+        # the host's arc set iterates (3,4) before (2,3)
+        assignment = {(1, 2): 0, (2, 3): 4, (3, 4): 3, (4, 5): 0, (5, 1): 0}
+        with pytest.raises(BadAssignment) as info:
+            otimes_h(oriented_cycle(5), assignment, S22)
+        assert str(info.value) == (
+            "assignment maps arc (2,3) to member 4, but the family has 2 members"
+        )
+
     def test_size_identity_on_mixed_assignments(self, rng):
         fam = enumerate_snk(3, 3)
         for _ in range(20):
