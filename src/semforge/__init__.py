@@ -88,7 +88,6 @@ from .search import (
     exhaustive_sem_search,
     explore_even_copies,
     feasible_sum_starts,
-    find_edge_magic,
     find_sem,
     report_json,
 )

@@ -32,7 +32,10 @@ class DeerSpec:
     spine_leaf_counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.spine_leaf_counts)
+        counts = tuple(self.spine_leaf_counts)
+        for c in counts:
+            if type(c) is not int:
+                raise ValueError(f"leaf counts must be integers, got {c!r}")
         if len(counts) % 2 == 0 or not counts:
             raise ValueError("deer spine length must be odd and at least 1")
         if any(c < 0 for c in counts):
@@ -104,7 +107,10 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
 
     Leaves are numbered after the whole spine, grouped by spine position.
     """
-    counts = [int(c) for c in counts]
+    counts = list(counts)
+    for c in counts:
+        if type(c) is not int:
+            raise BadParam(f"leaf counts must be integers, got {c!r}")
     t = len(counts)
     if t < 1:
         raise BadParam("caterpillar needs at least one spine vertex")

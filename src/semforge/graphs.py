@@ -60,15 +60,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            if w == v:
-                out.add(u)
-        return out
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""
         seen = set()
@@ -181,10 +172,6 @@ class AdjacencyMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """1-indexed entry lookup."""
-        return self.rows[i - 1][j - 1]
-
     def row_strings(self) -> list[str]:
         return ["".join(str(x) for x in row) for row in self.rows]
 
@@ -194,11 +181,17 @@ def underlying(d: Digraph) -> Graph:
     return Graph(d.order, frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in d.arcs))
 
 
+def _bijection(labeling: "VertexLabeling | Sequence[int]", n: int) -> list[int]:
+    """The labels of a relabeling, checked to be ``int`` names covering [1,n]."""
+    names = list(getattr(labeling, "labels", labeling))
+    if not set(map(type, names)) <= {int} or sorted(names) != list(range(1, n + 1)):
+        raise ValueError("relabeling must be a bijection on [1,n]")
+    return names
+
+
 def relabel_digraph(d: Digraph, labeling: "VertexLabeling | Sequence[int]") -> Digraph:
     """Rename each vertex by its label, so vertex names and labels coincide."""
-    names = getattr(labeling, "labels", labeling)
-    if sorted(names) != list(range(1, d.order + 1)):
-        raise ValueError("relabeling must be a bijection on [1,n]")
+    names = _bijection(labeling, d.order)
     return Digraph(d.order, frozenset((names[a - 1], names[b - 1]) for a, b in d.arcs))
 
 
@@ -295,9 +288,7 @@ def adjacency_matrix(
     if relabel is None:
         names = list(range(1, n + 1))
     else:
-        names = list(getattr(relabel, "labels", relabel))
-        if sorted(names) != list(range(1, n + 1)):
-            raise ValueError("relabeling must be a bijection on [1,n]")
+        names = _bijection(relabel, n)
     rows = [[0] * n for _ in range(n)]
     for a, b in d.arcs:
         rows[names[a - 1] - 1][names[b - 1] - 1] = 1
@@ -339,16 +330,10 @@ def _joint_refine(g: Graph, h: Graph):
             return cg, ch
 
 
-def isomorphic(
-    g: Graph,
-    h: Graph,
-    *,
-    max_order: int = DEFAULT_ISO_ORDER_BOUND,
-    node_budget: int = DEFAULT_ISO_NODE_BUDGET,
-) -> bool:
+def isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test (loops respected) by refinement-guided backtracking."""
-    if g.order > max_order or h.order > max_order:
-        raise ResourceLimit(f"isomorphism bound is order <= {max_order}")
+    if g.order > DEFAULT_ISO_ORDER_BOUND or h.order > DEFAULT_ISO_ORDER_BOUND:
+        raise ResourceLimit(f"isomorphism bound is order <= {DEFAULT_ISO_ORDER_BOUND}")
     if g.order != h.order or g.size != h.size:
         return False
     refined = _joint_refine(g, h)
@@ -375,7 +360,7 @@ def isomorphic(
             if w in used:
                 continue
             nodes += 1
-            if nodes > node_budget:
+            if nodes > DEFAULT_ISO_NODE_BUDGET:
                 raise ResourceLimit("isomorphism node budget exhausted")
             ok = True
             for u, wu in mapping.items():
@@ -394,10 +379,10 @@ def isomorphic(
     return extend(0)
 
 
-def canonical_form(g: Graph, *, max_order: int = DEFAULT_CANONICAL_ORDER_BOUND) -> Graph:
+def canonical_form(g: Graph) -> Graph:
     """Canonical representative: the relabeling minimising the sorted edge list."""
-    if g.order > max_order:
-        raise ResourceLimit(f"canonical form bound is order <= {max_order}")
+    if g.order > DEFAULT_CANONICAL_ORDER_BOUND:
+        raise ResourceLimit(f"canonical form bound is order <= {DEFAULT_CANONICAL_ORDER_BOUND}")
     best = None
     for perm in itertools.permutations(range(1, g.order + 1)):
         img = tuple(

@@ -9,7 +9,6 @@ where s is the smallest induced sum.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -93,9 +92,6 @@ class FullLabeling:
     @property
     def edge_label_map(self) -> dict:
         return dict(self.edge_labels)
-
-    def label_of_edge(self, u: int, v: int) -> int:
-        return self.edge_label_map[(u, v) if u <= v else (v, u)]
 
 
 def _check_order(g: Graph, labeling: VertexLabeling) -> None:
@@ -242,10 +238,6 @@ def _labeling_object(g: Graph, labeling: VertexLabeling, ok: bool, window) -> di
         "window": window.as_pair() if window is not None else None,
         "magic_sum": g.order + g.size + window.s_min if ok and window else None,
     }
-
-
-def labeling_json_text(g: Graph, labeling: VertexLabeling) -> str:
-    return json.dumps(labeling_json(g, labeling)) + "\n"
 
 
 def labeling_from_json(data: dict) -> VertexLabeling:

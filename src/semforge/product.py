@@ -168,15 +168,14 @@ def lift_to_product(
     return CertifiedLabeledGraph(product, labeling, window, "otimes_h block labeling")
 
 
-def corona_iso_check(k: int, n: int, *, node_budget: int | None = None) -> bool:
+def corona_iso_check(k: int, n: int) -> bool:
     """Is the product of an oriented k-cycle with an oriented n-leaf loop-star
     isomorphic (after forgetting orientation) to the corona of the cycle?"""
     host = indegree_one_orientation(cycle_graph(k))
     member = indegree_one_orientation(star_with_loop(n))
     family = LabeledFamily(n + 1, 2, (member,))
     product = underlying(otimes_h(host, constant_assignment(host), family))
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    return isomorphic(product, corona(cycle_graph(k), n), **kwargs)
+    return isomorphic(product, corona(cycle_graph(k), n))
 
 
 # variant -> the certified family (``families.CERTIFIED_FAMILIES``) it draws on

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import ResourceLimit
 from .families import star_with_loop
 from .graphs import Digraph, Graph, disjoint_union
-from .labelings import FullLabeling, VertexLabeling, is_sem, verify_edge_magic
+from .labelings import VertexLabeling, is_sem
 from .product import LabeledFamily
 
 WITNESS = "witness"
@@ -34,7 +34,7 @@ ABORTED = "aborted"
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
 DEFAULT_CERTIFY_BOUND = 16
-EDGE_MAGIC_TOTAL_BOUND = 16
+SNK_ORDER_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,9 @@ class ResourceBudget:
 class SearchReport:
     """Outcome of a search run.
 
-    ``witness`` is a VertexLabeling (or a FullLabeling for the edge-magic
-    searcher); ``witnesses`` carries the full list in all-mode.  An exhausted
-    outcome certifies that the pruned tree covered the whole bijection space;
-    an aborted outcome is never evidence of anything.
+    ``witness`` is a VertexLabeling; ``witnesses`` carries the full list in
+    all-mode.  An exhausted outcome certifies that the pruned tree covered the
+    whole bijection space; an aborted outcome is never evidence of anything.
     """
 
     outcome: str
@@ -68,15 +67,10 @@ class SearchReport:
 
 
 def report_json(report: SearchReport) -> dict:
-    labels = None
     w = report.witness
-    if isinstance(w, VertexLabeling):
-        labels = list(w.labels)
-    elif isinstance(w, FullLabeling):
-        labels = list(w.vertex_labels)
     return {
         "outcome": report.outcome,
-        "labels": labels,
+        "labels": list(w.labels) if w is not None else None,
         "nodes": report.nodes,
         "ms": int(report.elapsed * 1000),
     }
@@ -282,8 +276,6 @@ def find_sem(
     g: Graph,
     mode: str = "first",
     budget: ResourceBudget | None = None,
-    *,
-    max_order: int | None = None,
 ) -> SearchReport:
     """Search for a SEM labeling of g.
 
@@ -300,9 +292,7 @@ def find_sem(
     if mode not in ("first", "canonical", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     budget = budget or ResourceBudget()
-    bound = max_order if max_order is not None else (
-        DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
-    )
+    bound = DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
     if g.order > bound:
         raise ResourceLimit(f"order {g.order} exceeds the {mode}-mode bound {bound}")
     deg = _degrees(g)
@@ -365,7 +355,6 @@ def certify_not_sem(
     budget: ResourceBudget | None = None,
     *,
     cross_check: bool = False,
-    max_order: int | None = None,
 ) -> SearchReport:
     """Exhaust the pruned search; an exhausted outcome certifies non-existence.
 
@@ -373,9 +362,10 @@ def certify_not_sem(
     the unpruned enumerator; disagreement means the pruning is unsound and is
     raised loudly instead of returned.
     """
-    bound = max_order if max_order is not None else DEFAULT_CERTIFY_BOUND
-    if g.order > bound:
-        raise ResourceLimit(f"order {g.order} exceeds the certification bound {bound}")
+    if g.order > DEFAULT_CERTIFY_BOUND:
+        raise ResourceLimit(
+            f"order {g.order} exceeds the certification bound {DEFAULT_CERTIFY_BOUND}"
+        )
     report = find_sem(g, "first", budget)
     if cross_check and g.order <= 8 and report.outcome != ABORTED:
         count, _ = exhaustive_sem_search(g)
@@ -392,7 +382,7 @@ def feasible_sum_starts(n: int) -> range:
     return range(2, n + 2)
 
 
-def enumerate_snk(n: int, k: int, *, max_n: int = 5) -> LabeledFamily:
+def enumerate_snk(n: int, k: int) -> LabeledFamily:
     """All digraphs on [1,n] with n arcs whose arc sums are [k, k+n-1].
 
     One arc must realise each sum in the run, and arcs with distinct sums are
@@ -401,8 +391,8 @@ def enumerate_snk(n: int, k: int, *, max_n: int = 5) -> LabeledFamily:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise ResourceLimit(f"family enumeration bound is n <= {max_n}")
+    if n > SNK_ORDER_BOUND:
+        raise ResourceLimit(f"family enumeration bound is n <= {SNK_ORDER_BOUND}")
     choices = []
     for s in range(k, k + n):
         arcs = [(i, s - i) for i in range(max(1, s - n), min(n, s - 1) + 1)]
@@ -468,94 +458,3 @@ def explore_even_copies(s: int, n: int, budget: ResourceBudget | None = None) ->
     g = disjoint_union([star_with_loop(n)] * (2 * s))
     return find_sem(g, "first", budget)
 
-
-def find_edge_magic(
-    g: Graph,
-    budget: ResourceBudget | None = None,
-    *,
-    max_total: int = EDGE_MAGIC_TOTAL_BOUND,
-) -> SearchReport:
-    """Search for a plain edge-magic labeling (vertex labels may exceed p).
-
-    Iterates candidate magic sums ascending; within one, backtracks over
-    vertex labels only, since each completed edge forces its label to
-    k - f(u) - f(v), pruned when that leaves [1, p+q] or collides.
-    """
-    p, q = g.order, g.size
-    total = p + q
-    if q == 0:
-        raise ValueError("graph has no edges to be edge-magic about")
-    if total > max_total:
-        raise ResourceLimit(f"p+q={total} exceeds the edge-magic bound {max_total}")
-    budget = budget or ResourceBudget()
-    start = time.monotonic()
-    deadline = start + budget.max_seconds
-    verts = _degree_order(_degrees(g))
-    partners, loops = _prepare(g, verts)
-    has_plain = any(u != v for u, v in g.edges)
-    k_lo, k_hi = (6, 3 * total - 3) if has_plain else (4, 3 * total - 1)
-    assigned = [0] * p
-    labels_of = [0] * (p + 1)
-    used = [False] * (total + 1)
-    nodes = 0
-
-    def extend(t: int, k: int) -> bool:
-        nonlocal nodes
-        if t == p:
-            return True
-        row = partners[t]
-        has_loop = loops[t]
-        for lab in range(1, total + 1):
-            if used[lab]:
-                continue
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise _Abort
-            if nodes & 1023 == 0 and time.monotonic() > deadline:
-                raise _Abort
-            used[lab] = True
-            added = [lab]
-            ok = True
-            if has_loop:
-                el = k - 2 * lab
-                if el < 1 or el > total or used[el]:
-                    ok = False
-                else:
-                    used[el] = True
-                    added.append(el)
-            if ok:
-                for spos in row:
-                    el = k - lab - assigned[spos]
-                    if el < 1 or el > total or used[el]:
-                        ok = False
-                        break
-                    used[el] = True
-                    added.append(el)
-            if ok:
-                assigned[t] = lab
-                labels_of[verts[t]] = lab
-                if extend(t + 1, k):
-                    return True
-            for x in added:
-                used[x] = False
-        return False
-
-    try:
-        for k in range(k_lo, k_hi + 1):
-            if extend(0, k):
-                vertex_labels = tuple(labels_of[1:])
-                edge_labels = tuple(
-                    ((u, v), k - vertex_labels[u - 1] - vertex_labels[v - 1])
-                    for u, v in g.edges
-                )
-                full = FullLabeling(vertex_labels, edge_labels, k)
-                if not verify_edge_magic(g, full):
-                    raise RuntimeError(
-                        "edge-magic searcher produced a witness that fails verification"
-                    )
-                return SearchReport(
-                    WITNESS, full, None, nodes, time.monotonic() - start, budget
-                )
-    except _Abort:
-        return SearchReport(ABORTED, None, None, nodes, time.monotonic() - start, budget)
-    return SearchReport(EXHAUSTED, None, None, nodes, time.monotonic() - start, budget)

@@ -168,6 +168,11 @@ class TestDeer:
         with pytest.raises(ValueError):
             DeerSpec((-1,))
 
+    @pytest.mark.parametrize("counts", [[1.7], [True], [1, "0", 1]])
+    def test_rejects_non_int_counts(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            build_deer(counts)
+
     def test_random_specs(self, rng):
         for _ in range(40):
             spine = rng.choice([1, 3, 5, 7])
@@ -209,6 +214,11 @@ class TestPrimitives:
     def test_caterpillar(self):
         g = caterpillar_graph([1, 0, 1])
         assert (g.order, g.size) == (5, 4)
+
+    @pytest.mark.parametrize("counts", [[2.9, "1"], [True], [1, 0.0]])
+    def test_caterpillar_rejects_non_int_counts(self, counts):
+        with pytest.raises(BadParam, match="integers"):
+            caterpillar_graph(counts)
 
     def test_dispatch(self):
         assert build_primitive("l") == loop_graph()

@@ -345,6 +345,12 @@ class TestRelabelDigraph:
         r = relabel_digraph(d, [2, 1])
         assert r.arcs == frozenset({(2, 2), (2, 1)})
 
+    @pytest.mark.parametrize("relabel", [relabel_digraph, adjacency_matrix])
+    @pytest.mark.parametrize("names", [[2.0, 1.0], [True, 2]])
+    def test_rejects_non_int_names(self, relabel, names):
+        with pytest.raises(ValueError, match="bijection"):
+            relabel(Digraph(2, [(1, 2)]), names)
+
 
 class TestTextFormat:
     def test_graph_round_trip(self, rng):

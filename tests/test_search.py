@@ -9,8 +9,8 @@ from semforge.families import (
     loop_graph,
     star_with_loop,
 )
-from semforge.graphs import Digraph, Graph, canonical_form, corona, disjoint_union, isomorphic
-from semforge.labelings import identity_labeling, is_sem, verify_edge_magic
+from semforge.graphs import Digraph, Graph, canonical_form, disjoint_union, isomorphic
+from semforge.labelings import identity_labeling, is_sem
 from semforge.product import canonical_product_labeling, constant_assignment, otimes_h
 from semforge.search import (
     ABORTED,
@@ -27,7 +27,6 @@ from semforge.search import (
     exhaustive_sem_search,
     explore_even_copies,
     feasible_sum_starts,
-    find_edge_magic,
     find_sem,
     report_json,
 )
@@ -335,33 +334,6 @@ class TestExplore:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             explore_even_copies(0, 1)
-
-
-class TestFindEdgeMagic:
-    def test_single_loop(self):
-        report = find_edge_magic(loop_graph())
-        assert report.outcome == WITNESS
-        assert report.witness.magic_sum == 4
-        assert report.witness.vertex_labels == (1,)
-        assert report.witness.edge_label_map == {(1, 1): 2}
-
-    def test_sun_graph(self):
-        g = corona(cycle_graph(3), 1)
-        report = find_edge_magic(g)
-        assert report.outcome == WITNESS
-        assert verify_edge_magic(g, report.witness)
-
-    def test_total_bound(self):
-        with pytest.raises(ResourceLimit):
-            find_edge_magic(corona(cycle_graph(5), 1))
-
-    def test_rejects_edgeless(self):
-        with pytest.raises(ValueError):
-            find_edge_magic(Graph(2, []))
-
-    def test_budget_aborts(self):
-        report = find_edge_magic(corona(cycle_graph(3), 1), ResourceBudget(max_nodes=10))
-        assert report.outcome == ABORTED
 
 
 class TestPruningSoundness:
