@@ -159,12 +159,13 @@ class AdjacencyMatrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise ValueError("adjacency matrix must be square")
-            if any(x not in (0, 1) for x in row):
+            # 0 and 1 as int, not bool: 1.0 == True == 1 would pass an `in` test
+            if not set(map(type, row)) <= {int} or not set(row) <= {0, 1}:
                 raise ValueError("adjacency matrix entries must be 0 or 1")
         object.__setattr__(self, "rows", rows)
 

@@ -405,16 +405,34 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
     return LabeledFamily(n, k, members)
 
 
+def _block_relabelings(p: int, pool: list, slot: dict, d: int) -> list:
+    """Slot maps of the relabelings of [1,p] that fix vertex 1 and permute
+    {2..d+1} and {d+2..p} each among themselves."""
+    maps = []
+    for low in itertools.permutations(range(2, d + 2)):
+        for high in itertools.permutations(range(d + 2, p + 1)):
+            f = (0, 1) + low + high
+            maps.append([slot[f[u], f[v]] for u, v in pool])
+    return maps
+
+
 def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> list:
     """Catalog of loop-allowed graphs with order = size = p up to isomorphism.
 
-    One orderly pass (Read 1978; McKay 1998) meets the p-edge subsets in
+    One orderly pass (Read 1978; McKay 1998) meets p-edge subsets in
     lexicographic order, so the first subset met of each class is its
     canonical form (minimum sorted edge list over all relabelings).  It is
-    searched and appended with its SEM outcome, and its p! relabelings are
-    marked, one byte per subset by lexicographic rank.  ``budget.max_nodes``
-    bounds the subsets enumerated; ``budget.max_seconds`` the whole census,
-    class searches included; an aborted class search raises ``ResourceLimit``.
+    searched and appended with its SEM outcome.  A canonical form contains
+    (1,1), the smallest pair, iff the class has a loop, and vertex 1's other
+    neighbours are {2..k+1} (k >= 1 if loopless), since moving them there in
+    order only shrinks the (1,x) prefix of the sorted edge list.
+    So the pass visits only subsets of that shape, and marks, one byte per
+    subset by lexicographic rank, only the relabelings that land on one:
+    those sending a centre c (a looped vertex, or any vertex with a neighbour
+    if the class is loopless) to 1 and its other neighbours onto
+    {2..d(c)+1}.  ``budget.max_nodes`` bounds the subsets visited;
+    ``budget.max_seconds`` the whole census, class searches included; an
+    aborted class search raises ``ResourceLimit``.
     """
     if not 1 <= p <= 8:
         raise ValueError(f"census supports 1 <= p <= 8, got {p}")
@@ -422,29 +440,70 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     deadline = time.monotonic() + budget.max_seconds
     pool = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
     slot = {e: i for i, (u, v) in enumerate(pool) for e in ((u, v), (v, u))}
-    perms = itertools.permutations(range(1, p + 1))
-    relabel = [[slot[f[u - 1], f[v - 1]] for u, v in pool] for f in perms]
     n = len(pool)
     last = math.comb(n, p) - 1  # slots c_0 < c_1 < ... have rank last - Σ_i C(n-1-c_i, p-i)
     weights = [[math.comb(n - 1 - c, p - i) for c in range(n)] for i in range(p)]
     marks = bytearray(last + 1)
+    blocks: dict = {}
+
+    def shape(looped: bool, k: int):
+        """Head slots (1,1)?,(1,2),...,(1,k+1), the rank less their share,
+        and the rank weights left for the tail."""
+        head = range(0 if looped else 1, k + 1)
+        return head, last - sum(map(list.__getitem__, weights, head)), weights[len(head):]
+
+    def mark(edges: list, looped: bool) -> None:
+        """Mark each image of the class that has the shape of a visited subset."""
+        nbrs = [set() for _ in range(p + 1)]
+        loop = [False] * (p + 1)
+        for u, v in edges:
+            if u == v:
+                loop[u] = True
+            else:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        for c in range(1, p + 1):
+            if not (loop[c] if looped else nbrs[c]):
+                continue
+            # send c to 1, N(c) onto {2..d+1} and the rest onto {d+2..p} in
+            # order; the block relabelings then give every image of this shape
+            d = len(nbrs[c])
+            lab = [0] * (p + 1)
+            rest = set(range(1, p + 1)) - nbrs[c] - {c}
+            for i, v in enumerate([c, *sorted(nbrs[c]), *sorted(rest)], 1):
+                lab[v] = i
+            tail = [slot[lab[u], lab[v]] for u, v in edges if c != u and c != v]
+            _, base, tail_weights = shape(looped, d)
+            if d not in blocks:
+                blocks[d] = _block_relabelings(p, pool, slot, d)
+            for f in blocks[d]:
+                image = sorted(map(f.__getitem__, tail))
+                marks[base - sum(map(list.__getitem__, tail_weights, image))] = 1
+
     entries = []
-    for rank, combo in enumerate(itertools.combinations(range(n), p)):
-        if rank >= budget.max_nodes:
-            raise ResourceLimit("census node budget exhausted")
-        if rank & 1023 == 1023 and time.monotonic() > deadline:
-            raise ResourceLimit("census wall-clock budget exhausted")
-        if marks[rank]:
-            continue
-        for f in relabel:
-            image = sorted(map(f.__getitem__, combo))
-            marks[last - sum(map(list.__getitem__, weights, image))] = 1
-        g = Graph(p, frozenset(pool[i] for i in combo))
-        left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
-        report = find_sem(g, "first", left)
-        if report.outcome == ABORTED:
-            raise ResourceLimit("census search of a class aborted")
-        entries.append((g, report.outcome == WITNESS))
+    visited = 0
+    # slot i < p is (1, i+1); a tail takes its slots from those with u >= 2,
+    # which come after every head slot, so the subsets come in rank order
+    for looped in (True, False):
+        tails = [i for i in range(p, n) if looped or pool[i][0] != pool[i][1]]
+        for k in range(p - 1, -1 if looped else 0, -1):
+            head, base, tail_weights = shape(looped, k)
+            for tail in itertools.combinations(tails, p - len(head)):
+                if visited >= budget.max_nodes:
+                    raise ResourceLimit("census node budget exhausted")
+                if visited & 1023 == 1023 and time.monotonic() > deadline:
+                    raise ResourceLimit("census wall-clock budget exhausted")
+                visited += 1
+                if marks[base - sum(map(list.__getitem__, tail_weights, tail))]:
+                    continue
+                edges = [pool[i] for i in itertools.chain(head, tail)]
+                mark(edges, looped)
+                g = Graph(p, frozenset(edges))
+                left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
+                report = find_sem(g, "first", left)
+                if report.outcome == ABORTED:
+                    raise ResourceLimit("census search of a class aborted")
+                entries.append((g, report.outcome == WITNESS))
     return entries
 
 

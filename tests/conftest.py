@@ -4,7 +4,9 @@ The oracles here are intentionally naive (full permutation scans) so they
 stay independent of the library's pruned and refined implementations.
 """
 
+import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -49,19 +51,69 @@ def random_indegree_one_graph(rng: random.Random, max_order=9) -> Graph:
     return disjoint_union(comps)
 
 
+def _image(g: Graph, perm) -> frozenset:
+    """The edge set of g with each vertex v renamed perm[v-1]."""
+    return frozenset(
+        (perm[u - 1], perm[v - 1]) if perm[u - 1] <= perm[v - 1]
+        else (perm[v - 1], perm[u - 1])
+        for u, v in g.edges
+    )
+
+
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """All-permutations isomorphism oracle; fine up to 7 or so vertices."""
     if g.order != h.order or g.size != h.size:
         return False
-    for perm in permutations(range(1, g.order + 1)):
-        image = frozenset(
-            (perm[u - 1], perm[v - 1]) if perm[u - 1] <= perm[v - 1]
-            else (perm[v - 1], perm[u - 1])
-            for u, v in g.edges
-        )
-        if image == h.edges:
-            return True
-    return False
+    return any(_image(g, perm) == h.edges for perm in permutations(range(1, g.order + 1)))
+
+
+def brute_force_automorphism_count(g: Graph) -> int:
+    """|Aut g| by testing every permutation; fine up to 7 or so vertices."""
+    return sum(_image(g, perm) == g.edges for perm in permutations(range(1, g.order + 1)))
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def polya_class_count(p: int) -> int:
+    """Number of loop-allowed graphs with p vertices and p edges up to
+    isomorphism, by Pólya counting.
+
+    S_p acts on the p(p+1)/2 edge slots {i <= j}.  A permutation fixes a
+    p-edge subset iff the subset is a union of its slot cycles, so the
+    number it fixes is the coefficient of t^p in the product over its slot
+    cycles of (1 + t^length).  By Burnside's lemma the average of that number
+    over S_p is the number of orbits; the cycle index groups the
+    permutations by cycle type, p!/centralizer of them per type.
+    """
+    slots = [(i, j) for i in range(p) for j in range(i, p)]
+    total = 0
+    for shape in _partitions(p, p):
+        perm, first = [], 0
+        for k in shape:  # the cycle (first, first+1, ..., first+k-1)
+            perm += [first + (i + 1) % k for i in range(k)]
+            first += k
+        centralizer = math.prod(k**m * math.factorial(m) for k, m in Counter(shape).items())
+        image = {(i, j): tuple(sorted((perm[i], perm[j]))) for i, j in slots}
+        poly = [1] + [0] * p  # coefficients of t^0 .. t^p
+        seen = set()
+        for s in slots:
+            length = 0
+            while s not in seen:
+                seen.add(s)
+                s = image[s]
+                length += 1
+            if length:
+                poly = [c + (poly[e - length] if e >= length else 0) for e, c in enumerate(poly)]
+        total += math.factorial(p) // centralizer * poly[p]
+    return total // math.factorial(p)
 
 
 def reference_parse_edge_list(text: str):

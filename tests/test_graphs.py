@@ -253,6 +253,13 @@ class TestAdjacencyMatrix:
             AdjacencyMatrix(((0, 1),))
         with pytest.raises(ValueError):
             AdjacencyMatrix(((2,),))
+        with pytest.raises(ValueError):
+            AdjacencyMatrix(((1.9, 0.2), ("1", True)))
+
+    @pytest.mark.parametrize("bad", [1.9, 0.2, 1.0, "1", True, False, None])
+    def test_matrix_entries_are_not_coerced(self, bad):
+        with pytest.raises(ValueError):
+            AdjacencyMatrix(((bad, 0), (1, 1)))
 
 
 class TestIsomorphic:

@@ -1,6 +1,11 @@
 import json
+import math
+from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semforge.errors import ResourceLimit
 from semforge.families import (
@@ -32,7 +37,12 @@ from semforge.search import (
 )
 from semforge.graphs import indegree_one_orientation, underlying
 
-from conftest import all_possible_edges, random_equal_order_size_graph
+from conftest import (
+    all_possible_edges,
+    brute_force_automorphism_count,
+    polya_class_count,
+    random_equal_order_size_graph,
+)
 
 TWO_STARS = disjoint_union([star_with_loop(1), star_with_loop(1)])
 
@@ -251,6 +261,11 @@ class TestEnumerateSnk:
             enumerate_snk(6, 2)
 
 
+@cache
+def _census(k: int) -> list:
+    return census_equal_order_size(k)
+
+
 class TestCensus:
     def test_order_one(self):
         entries = census_equal_order_size(1)
@@ -291,6 +306,43 @@ class TestCensus:
         for g, _ in entries:
             assert g == canonical_form(g)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_class_count_is_polya(self, k):
+        assert len(_census(k)) == polya_class_count(k)
+
+    def test_polya_counts(self):
+        assert [polya_class_count(k) for k in range(1, 8)] == [1, 2, 6, 17, 52, 173, 585]
+
+    def test_order_seven(self):
+        entries = _census(7)
+        assert sum(sem for _, sem in entries) == 300
+        edge_lists = [g.sorted_edges for g, _ in entries]
+        assert all(a < b for a, b in zip(edge_lists, edge_lists[1:]))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_labeled_sem_graphs_number_p_factorial(self, k):
+        # a SEM labeling of G up to Aut G is a labeled graph on [1,p] whose
+        # identity labeling is SEM, and there are exactly p! of those
+        total = 0
+        for g, sem in _census(k):
+            count = find_sem(g, "all").witness_count
+            assert (count > 0) == sem
+            total += Fraction(count, brute_force_automorphism_count(g))
+        assert total == math.factorial(k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda p: st.lists(st.sampled_from(all_possible_edges(p)), min_size=p, max_size=p, unique=True)
+        .map(lambda edges: Graph(p, frozenset(edges)))
+    ))
+    def test_canonical_form_has_the_visited_shape(self, g):
+        form = canonical_form(g)
+        looped = any(u == v for u, v in g.edges)
+        assert ((1, 1) in form.edges) == looped
+        k = sum(1 for u, v in form.edges if u == 1 and v != 1)
+        assert {v for u, v in form.edges if u == 1 and v != 1} == set(range(2, k + 2))
+        assert looped or k >= 1
+
     def test_order_bound(self):
         with pytest.raises(ValueError):
             census_equal_order_size(9)
@@ -300,10 +352,11 @@ class TestCensus:
             census_equal_order_size(5, ResourceBudget(max_nodes=10))
 
     def test_node_budget_counts_subsets(self):
-        # order 3 has C(6, 3) = 20 subsets of the 6 edge slots
-        assert len(census_equal_order_size(3, ResourceBudget(max_nodes=20))) == 6
+        # order 3 visits 8 subsets: (1,1),(1,2),(1,3); (1,1),(1,2) plus one
+        # of the 3 slots with u >= 2; (1,1) plus two of them; (1,2),(1,3),(2,3)
+        assert len(census_equal_order_size(3, ResourceBudget(max_nodes=8))) == 6
         with pytest.raises(ResourceLimit):
-            census_equal_order_size(3, ResourceBudget(max_nodes=19))
+            census_equal_order_size(3, ResourceBudget(max_nodes=7))
 
     def test_wall_clock_budget(self):
         with pytest.raises(ResourceLimit):
