@@ -145,10 +145,13 @@ def _load_labeling(path: str) -> VertexLabeling:
 
 def _budget(node_budget: int | None, timeout: float | None) -> ResourceBudget:
     default = ResourceBudget()
-    return ResourceBudget(
-        max_nodes=node_budget if node_budget is not None else default.max_nodes,
-        max_seconds=timeout if timeout is not None else default.max_seconds,
-    )
+    try:
+        return ResourceBudget(
+            max_nodes=node_budget if node_budget is not None else default.max_nodes,
+            max_seconds=timeout if timeout is not None else default.max_seconds,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _report_exit(report) -> None:

@@ -13,7 +13,7 @@ so outputs are deterministic and golden-file friendly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadParam, LabelingFailed
@@ -159,23 +159,15 @@ def build_primitive(kind: str, params: dict | None = None) -> Graph:
 
 
 def build_two_lk11_lk1n(n: int) -> CertifiedLabeledGraph:
-    """Two loop-stars with one leaf each plus a loop-star with n leaves.
+    """Two loop-stars with one leaf each plus a loop-star with n leaves:
+    ``build_two_lk1m_lk1n(1, n)``.
 
     Centers get 3, 5 and 4; their single partners get 6 and 2; the big star's
     leaves take the remaining labels of [1, n+5] in ascending order.
     """
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
-    graph = disjoint_union([star_with_loop(1), star_with_loop(1), star_with_loop(n)])
-    p = n + 5
-    labels = [0] * (p + 1)
-    labels[1], labels[2] = 3, 6
-    labels[3], labels[4] = 5, 2
-    labels[5] = 4
-    rest = sorted(set(range(1, p + 1)) - {2, 3, 4, 5, 6})
-    for leaf, lab in zip(range(6, p + 1), rest):
-        labels[leaf] = lab
-    return _certify(graph, labels[1:], f"2lk11-lk1n(n={n})")
+    return replace(build_two_lk1m_lk1n(1, n), provenance=f"2lk11-lk1n(n={n})")
 
 
 def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
@@ -183,8 +175,7 @@ def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
 
     Extends the m=1 labeling: m-1 fresh leaves on the 5-center get
     -1,-3,...,-(2m-3), those on the 3-center get 0,-2,...,-(2m-4), and every
-    label is then shifted by 2m-2.  With m=1 this is exactly
-    ``build_two_lk11_lk1n(n)``.
+    label is then shifted by 2m-2.
     """
     if m < 1 or n < 1:
         raise BadParam(f"need m, n >= 1, got m={m}, n={n}")
@@ -208,26 +199,19 @@ def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
     return _certify(graph, labels, f"2lk1m-lk1n(m={m},n={n})")
 
 
-def build_odd_copies_lk1n(
-    s: int, n: int, labeling: VertexLabeling | None = None
-) -> CertifiedLabeledGraph:
+def build_odd_copies_lk1n(s: int, n: int) -> CertifiedLabeledGraph:
     """(2s+1) disjoint copies of the loop-star with n leaves.
 
     Copy i occupies vertices (i-1)(n+1)+1 .. i(n+1), center first.  Centers
     get s+i; the first leaf of the last s copies gets i-s-1, of the first s+1
     copies its center's label plus 2s+1; later leaves step by (2s+1)(j-1).
-    For s=0 any bijection works, so one may be injected via ``labeling``.
+    For s=0 (one copy) any bijection is SEM; this one is the identity.
     """
     if s < 0 or n < 1:
         raise BadParam(f"need s >= 0 and n >= 1, got s={s}, n={n}")
     copies = 2 * s + 1
     block = n + 1
     graph = disjoint_union([star_with_loop(n)] * copies)
-    tag = f"odd-lk1n(s={s},n={n})"
-    if labeling is not None:
-        if s != 0:
-            raise BadParam("an injected labeling is only admissible for s=0")
-        return _certify(graph, labeling.labels, tag)
 
     def center(i: int) -> int:
         return (i - 1) * block + 1
@@ -247,7 +231,7 @@ def build_odd_copies_lk1n(
             f[leaf(i, j)] = f[leaf(i, 1)] + copies * (j - 1)
         for i in range(s + 2, copies + 1):
             f[leaf(i, j)] = f[center(i)] + copies * (j - 1)
-    return _certify(graph, f[1:], tag)
+    return _certify(graph, f[1:], f"odd-lk1n(s={s},n={n})")
 
 
 def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:

@@ -54,20 +54,11 @@ class Graph:
         """Number of edge endpoints at v; a loop contributes 2."""
         return sum((u == v) + (w == v) for u, w in self.edges)
 
-    def has_loop(self, v: int) -> bool:
-        return (v, v) in self.edges
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.edges
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""
         seen = set()
         comps = []
-        adj = {v: set() for v in range(1, self.order + 1)}
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
+        adj, _ = _neighbourhoods(self)
         for start in range(1, self.order + 1):
             if start in seen:
                 continue
@@ -109,6 +100,19 @@ class Digraph:
 
     def outdegree(self, v: int) -> int:
         return sum(1 for a, _ in self.arcs if a == v)
+
+
+def _neighbourhoods(g: Graph) -> tuple[list, list]:
+    """Open neighbour set and loop flag of every vertex; index 0 is unused."""
+    nbrs = [set() for _ in range(g.order + 1)]
+    loop = [False] * (g.order + 1)
+    for u, v in g.edges:
+        if u == v:
+            loop[u] = True
+        else:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return nbrs, loop
 
 
 def _check_order(order, kind: str) -> None:
@@ -296,23 +300,14 @@ def adjacency_matrix(
     return AdjacencyMatrix(tuple(tuple(row) for row in rows))
 
 
-def _neighbor_multisets(g: Graph) -> dict[int, list[int]]:
-    nbrs: dict[int, list[int]] = {v: [] for v in range(1, g.order + 1)}
-    for u, v in g.edges:
-        if u == v:
-            nbrs[u].append(u)
-        else:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return nbrs
-
-
-def _joint_refine(g: Graph, h: Graph):
-    """Color-refine both graphs together; None when the color histograms split."""
-    nbrs_g = _neighbor_multisets(g)
-    nbrs_h = _neighbor_multisets(h)
-    cg = {v: (g.has_loop(v), g.degree(v)) for v in range(1, g.order + 1)}
-    ch = {v: (h.has_loop(v), h.degree(v)) for v in range(1, h.order + 1)}
+def _joint_refine(nbhd_g: tuple, nbhd_h: tuple):
+    """Color-refine two graphs, given by their ``_neighbourhoods``, together;
+    None when the color histograms split.  A vertex starts with its loop flag
+    and its number of other neighbours; a loop needs no entry among the
+    neighbours, since the flag is already part of the vertex's own color."""
+    (nbrs_g, loop_g), (nbrs_h, loop_h) = nbhd_g, nbhd_h
+    cg = {v: (loop_g[v], len(nbrs_g[v])) for v in range(1, len(nbrs_g))}
+    ch = {v: (loop_h[v], len(nbrs_h[v])) for v in range(1, len(nbrs_h))}
     while True:
         if sorted(cg.values()) != sorted(ch.values()):
             return None
@@ -337,16 +332,18 @@ def isomorphic(g: Graph, h: Graph) -> bool:
         raise ResourceLimit(f"isomorphism bound is order <= {DEFAULT_ISO_ORDER_BOUND}")
     if g.order != h.order or g.size != h.size:
         return False
-    refined = _joint_refine(g, h)
+    nbhd_g, nbhd_h = _neighbourhoods(g), _neighbourhoods(h)
+    refined = _joint_refine(nbhd_g, nbhd_h)
     if refined is None:
         return False
     cg, ch = refined
+    (nbrs_g, loop_g), (nbrs_h, loop_h) = nbhd_g, nbhd_h
     by_color: dict[int, list[int]] = {}
     for w, c in ch.items():
         by_color.setdefault(c, []).append(w)
     order_vs = sorted(
         range(1, g.order + 1),
-        key=lambda v: (len(by_color[cg[v]]), -g.degree(v), v),
+        key=lambda v: (len(by_color[cg[v]]), -len(nbrs_g[v]) - 2 * loop_g[v], v),
     )
     mapping = {}
     used = set()
@@ -365,10 +362,10 @@ def isomorphic(g: Graph, h: Graph) -> bool:
                 raise ResourceLimit("isomorphism node budget exhausted")
             ok = True
             for u, wu in mapping.items():
-                if g.has_edge(v, u) != h.has_edge(w, wu):
+                if (u in nbrs_g[v]) != (wu in nbrs_h[w]):
                     ok = False
                     break
-            if ok and g.has_loop(v) == h.has_loop(w):
+            if ok and loop_g[v] == loop_h[w]:
                 mapping[v] = w
                 used.add(w)
                 if extend(idx + 1):

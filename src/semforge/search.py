@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimit
 from .families import star_with_loop
-from .graphs import Digraph, Graph, disjoint_union
+from .graphs import Digraph, Graph, _neighbourhoods, disjoint_union
 from .labelings import VertexLabeling, is_sem
 from .product import LabeledFamily
 
@@ -39,8 +39,19 @@ SNK_ORDER_BOUND = 5
 
 @dataclass(frozen=True)
 class ResourceBudget:
+    """Limits of one search or census: an ``int`` count of nodes and a real
+    number of seconds, neither negative.  Zero aborts at once and
+    ``math.inf`` seconds sets no deadline; NaN is rejected, since no clock
+    reading ever exceeds it."""
+
     max_nodes: int = 10**9
     max_seconds: float = 300.0
+
+    def __post_init__(self):
+        if type(self.max_nodes) is not int or self.max_nodes < 0:
+            raise ValueError(f"node budget must be an integer >= 0, got {self.max_nodes!r}")
+        if type(self.max_seconds) not in (int, float) or not self.max_seconds >= 0:
+            raise ValueError(f"timeout must be a number >= 0, got {self.max_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -80,34 +91,11 @@ class _Abort(Exception):
     pass
 
 
-def _degrees(g: Graph) -> list:
-    """Degree of every vertex in one pass over the edges; index 0 is unused
-    and a loop counts 2."""
-    deg = [0] * (g.order + 1)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
-def _degree_order(deg: list) -> list:
-    return sorted(range(1, len(deg)), key=lambda v: (-deg[v], v))
-
-
-def _prepare(g: Graph, verts: list):
-    """Per search position: earlier positions it closes an edge with, loop flag."""
-    pos = {v: t for t, v in enumerate(verts)}
-    partners = [[] for _ in verts]
-    loops = [False] * len(verts)
-    for u, v in g.edges:
-        if u == v:
-            loops[pos[u]] = True
-        else:
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            partners[b].append(a)
-    return partners, loops
+def _degrees(g: Graph, nbhd: tuple | None = None) -> list:
+    """Degree of every vertex from ``_neighbourhoods(g)``, or from ``nbhd``
+    when it is already built; index 0 is unused and a loop counts 2."""
+    nbrs, loop = nbhd or _neighbourhoods(g)
+    return [len(n) + 2 * lp for n, lp in zip(nbrs, loop)]
 
 
 def _sum_starts(deg: list, p: int, q: int) -> range:
@@ -132,32 +120,9 @@ def _sum_starts(deg: list, p: int, q: int) -> range:
     return range(max(2, -((base - low) // q)), min(2 * p - q + 1, (high - base) // q) + 1)
 
 
-def _twin_prev(g: Graph, verts: list) -> list:
-    """Per search position: the position of the previous twin, or -1.
-
-    Twins are vertices with the same open neighbourhood and the same loop
-    flag; swapping two of them is an automorphism.  Twins have equal degree,
-    so both variable orders place them in index order.
-    """
-    nbrs = [set() for _ in range(g.order + 1)]
-    loop = [False] * (g.order + 1)
-    for u, v in g.edges:
-        if u == v:
-            loop[u] = True
-        else:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    last: dict = {}
-    prev = []
-    for t, v in enumerate(verts):
-        key = (frozenset(nbrs[v]), loop[v])
-        prev.append(last.get(key, -1))
-        last[key] = t
-    return prev
-
-
 def _sem_backtrack(
     g: Graph,
+    nbhd: tuple,
     verts: list,
     deg: list,
     mode: str,
@@ -166,23 +131,29 @@ def _sem_backtrack(
 ):
     """Depth-first search over bijections inside the anchored windows.
 
-    Labels are placed on ``verts`` in order.  The search carries the range
-    [a, b] of minimum sums s whose window [s, s+q-1] can still hold every
-    closed edge's sum: it starts as ``_sum_starts``, each new sum x narrows
-    it to [max(a, x-q+1), min(b, x)], and a partial assignment dies as soon
-    as the range empties or a sum repeats.  One pass thus covers every
-    window and visits each partial assignment once, however many windows it
-    fits.
+    Labels are placed on ``verts`` in order.  Each search position has a row
+    of partners: itself first if its vertex has a loop, then the earlier
+    positions it shares an edge with.  A label is stored before its row is
+    read, so a loop's sum 2·f(u) is checked like every other closed edge's
+    sum.  The search carries the range [a, b] of minimum sums s whose window
+    [s, s+q-1] can still hold every closed edge's sum: it starts as
+    ``_sum_starts``, each new sum x narrows it to [max(a, x-q+1), min(b, x)],
+    and a partial assignment dies as soon as the range empties or a sum
+    repeats.  One pass thus covers every window and visits each partial
+    assignment once, however many windows it fits.
 
     In ``first`` and ``canonical`` mode two symmetry-breaking cuts apply
     (Crawford, Ginsberg, Luks & Roy, 1996): each vertex takes a label above
     that of its previous twin, and the first search position takes a label
-    of at most ⌈p/2⌉, since the complement x ↦ p+1-x preserves SEM.  Both
-    are sound for existence, and for ``canonical`` too: the
-    lexicographically smallest labeling is ascending on twins and starts at
-    most at ⌈p/2⌉ (else its complement would be smaller), so it is still
-    the first witness of the index-order search.  ``all`` mode applies the
-    window alone, so its witness set is exact.
+    of at most ⌈p/2⌉, since the complement x ↦ p+1-x preserves SEM.  Twins
+    are vertices with the same open neighbourhood and the same loop flag;
+    swapping two of them is an automorphism, and they have equal degree, so
+    both variable orders place them in index order.  Both cuts are sound for
+    existence, and for ``canonical`` too: the lexicographically smallest
+    labeling is ascending on twins and starts at most at ⌈p/2⌉ (else its
+    complement would be smaller), so it is still the first witness of the
+    index-order search.  ``all`` mode applies the window alone, so its
+    witness set is exact.
 
     Returns ``(status, witnesses, nodes)`` where status is
     WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried.
@@ -191,14 +162,22 @@ def _sem_backtrack(
     starts = _sum_starts(deg, p, q)
     if not starts:
         return EXHAUSTED, [], 0
-    partners, loops = _prepare(g, verts)
+    nbrs, loop = nbhd
+    pos = {v: t for t, v in enumerate(verts)}
+    rows = [
+        ([t] if loop[v] else []) + [pos[u] for u in nbrs[v] if pos[u] < t]
+        for t, v in enumerate(verts)
+    ]
     collect_all = mode == "all"
-    if collect_all:
-        twin_prev, first_stop = [-1] * p, p + 1
-    else:
-        twin_prev, first_stop = _twin_prev(g, verts), (p + 1) // 2 + 1
+    first_stop = p + 1 if collect_all else (p + 1) // 2 + 1
+    twin_prev = [-1] * p
+    if not collect_all:
+        last: dict = {}
+        for t, v in enumerate(verts):
+            key = (frozenset(nbrs[v]), loop[v])
+            twin_prev[t] = last.get(key, -1)
+            last[key] = t
     assigned = [0] * p
-    labels_of = [0] * (p + 1)
     used = [False] * (p + 1)
     seen = bytearray(2 * p + 3)
     witnesses: list[VertexLabeling] = []
@@ -209,10 +188,12 @@ def _sem_backtrack(
     def extend(t: int, a: int, b: int) -> bool:
         nonlocal nodes
         if t == p:
-            witnesses.append(VertexLabeling(tuple(labels_of[1:])))
+            labels = [0] * p
+            for v, lab in zip(verts, assigned):
+                labels[v - 1] = lab
+            witnesses.append(VertexLabeling(tuple(labels)))
             return not collect_all
-        row = partners[t]
-        has_loop = loops[t]
+        row = rows[t]
         twin = twin_prev[t]
         start = assigned[twin] + 1 if twin >= 0 else 1
         for lab in range(start, first_stop if t == 0 else p + 1):
@@ -223,40 +204,22 @@ def _sem_backtrack(
                 raise _Abort
             if nodes & 1023 == 0 and time.monotonic() > deadline:
                 raise _Abort
+            assigned[t] = lab
             na, nb = a, b
             added = []
-            ok = True
-            if has_loop:
-                s = 2 * lab
+            for spos in row:
+                s = lab + assigned[spos]
                 if seen[s]:
-                    ok = False
-                else:
-                    seen[s] = 1
-                    added.append(s)
-                    if s - span > na:
-                        na = s - span
-                    if s < nb:
-                        nb = s
-                    if na > nb:
-                        ok = False
-            if ok:
-                for spos in row:
-                    s = lab + assigned[spos]
-                    if seen[s]:
-                        ok = False
-                        break
-                    seen[s] = 1
-                    added.append(s)
-                    if s - span > na:
-                        na = s - span
-                    if s < nb:
-                        nb = s
-                    if na > nb:
-                        ok = False
-                        break
-            if ok:
-                assigned[t] = lab
-                labels_of[verts[t]] = lab
+                    break
+                seen[s] = 1
+                added.append(s)
+                if s - span > na:
+                    na = s - span
+                if s < nb:
+                    nb = s
+                if na > nb:
+                    break
+            else:
                 used[lab] = True
                 if extend(t + 1, na, nb):
                     return True
@@ -295,11 +258,14 @@ def find_sem(
     bound = DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
     if g.order > bound:
         raise ResourceLimit(f"order {g.order} exceeds the {mode}-mode bound {bound}")
-    deg = _degrees(g)
-    verts = _degree_order(deg) if mode == "first" else list(range(1, g.order + 1))
+    nbhd = _neighbourhoods(g)
+    deg = _degrees(g, nbhd)
+    verts = list(range(1, g.order + 1))
+    if mode == "first":
+        verts.sort(key=lambda v: -deg[v])
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    status, wits, nodes = _sem_backtrack(g, verts, deg, mode, budget, deadline)
+    status, wits, nodes = _sem_backtrack(g, nbhd, verts, deg, mode, budget, deadline)
     elapsed = time.monotonic() - start
     for w in wits:
         ok, _ = is_sem(g, w)
@@ -452,16 +418,9 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
         head = range(0 if looped else 1, k + 1)
         return head, last - sum(map(list.__getitem__, weights, head)), weights[len(head):]
 
-    def mark(edges: list, looped: bool) -> None:
+    def mark(g: Graph, looped: bool) -> None:
         """Mark each image of the class that has the shape of a visited subset."""
-        nbrs = [set() for _ in range(p + 1)]
-        loop = [False] * (p + 1)
-        for u, v in edges:
-            if u == v:
-                loop[u] = True
-            else:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
+        nbrs, loop = _neighbourhoods(g)
         for c in range(1, p + 1):
             if not (loop[c] if looped else nbrs[c]):
                 continue
@@ -472,7 +431,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             rest = set(range(1, p + 1)) - nbrs[c] - {c}
             for i, v in enumerate([c, *sorted(nbrs[c]), *sorted(rest)], 1):
                 lab[v] = i
-            tail = [slot[lab[u], lab[v]] for u, v in edges if c != u and c != v]
+            tail = [slot[lab[u], lab[v]] for u, v in g.edges if c != u and c != v]
             _, base, tail_weights = shape(looped, d)
             if d not in blocks:
                 blocks[d] = _block_relabelings(p, pool, slot, d)
@@ -496,9 +455,8 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
                 visited += 1
                 if marks[base - sum(map(list.__getitem__, tail_weights, tail))]:
                     continue
-                edges = [pool[i] for i in itertools.chain(head, tail)]
-                mark(edges, looped)
-                g = Graph(p, frozenset(edges))
+                g = Graph(p, frozenset(pool[i] for i in itertools.chain(head, tail)))
+                mark(g, looped)
                 left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
                 report = find_sem(g, "first", left)
                 if report.outcome == ABORTED:

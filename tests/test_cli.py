@@ -578,6 +578,43 @@ class TestExploreCommand:
         assert result.exit_code == 2
 
 
+class TestBudgetOptions:
+    """A malformed budget is a usage error (exit 2), never a fired limit
+    (exit 3) and never silently no limit at all."""
+
+    @pytest.fixture
+    def commands(self, two_stars_file):
+        graph = ["--graph", str(two_stars_file)]
+        return {
+            "search": ["search", *graph],
+            "certify": ["certify", *graph],
+            "census": ["census", "--order", "3"],
+            "explore": ["explore", "--params", "s=1,n=1"],
+        }
+
+    @pytest.mark.parametrize("command", ["search", "certify", "census", "explore"])
+    @pytest.mark.parametrize("option", [
+        ["--node-budget", "-1"],
+        ["--node-budget", "-5"],
+        ["--timeout", "-1"],
+        ["--timeout", "nan"],
+    ])
+    def test_malformed_budget_exits_two(self, runner, commands, command, option):
+        result = runner.invoke(main, commands[command] + option)
+        assert result.exit_code == 2
+        assert "budget" in result.output or "timeout" in result.output
+
+    @pytest.mark.parametrize("command", ["search", "certify", "census", "explore"])
+    def test_zero_node_budget_aborts(self, runner, commands, command):
+        result = runner.invoke(main, commands[command] + ["--node-budget", "0"])
+        assert result.exit_code == 3
+
+    @pytest.mark.parametrize("command", ["search", "certify", "census", "explore"])
+    def test_infinite_timeout_runs(self, runner, commands, command):
+        result = runner.invoke(main, commands[command] + ["--timeout", "inf"])
+        assert result.exit_code in (0, 1)
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, runner):
         result = runner.invoke(main, ["census", "--order", "2", "--wat"])

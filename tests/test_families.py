@@ -102,16 +102,13 @@ class TestOddCopies:
         assert_certified(cert)
 
     def test_injected_permutation(self, rng):
+        # s = 0: one loop-star, on which every bijection is SEM
         for _ in range(25):
             n = rng.randint(1, 6)
             labels = list(range(1, n + 2))
             rng.shuffle(labels)
-            cert = build_odd_copies_lk1n(0, n, VertexLabeling(tuple(labels)))
-            assert_certified(cert)
-
-    def test_injection_only_for_single_copy(self):
-        with pytest.raises(BadParam):
-            build_odd_copies_lk1n(1, 1, VertexLabeling((1, 2, 3, 4, 5, 6)))
+            graph = build_odd_copies_lk1n(0, n).graph
+            assert is_sem(graph, VertexLabeling(tuple(labels)))[0]
 
     @pytest.mark.parametrize("s,n", [(0, 1), (1, 2), (2, 3), (4, 1), (3, 5)])
     def test_grid(self, s, n):

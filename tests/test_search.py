@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semforge.errors import ResourceLimit
 from semforge.families import (
     build_deer,
+    build_two_lk11_lk1n,
     cycle_graph,
     loop_graph,
     star_with_loop,
@@ -123,6 +124,42 @@ class TestNodeCounts:
         g = disjoint_union([star_with_loop(5), star_with_loop(5)])
         report = certify_not_sem(g)
         assert (report.outcome, report.nodes) == (EXHAUSTED, 51_616)
+
+    # looped graphs in the index-order modes too, where a looped vertex is
+    # not necessarily placed first
+    L_LK13 = disjoint_union([loop_graph(), star_with_loop(3)])
+    TWO_LK11_LK12 = build_two_lk11_lk1n(2).graph
+
+    @pytest.mark.parametrize("graph,mode,outcome,nodes,witnesses", [
+        (L_LK13, "first", EXHAUSTED, 31, 0),
+        (L_LK13, "canonical", EXHAUSTED, 32, 0),
+        (L_LK13, "all", EXHAUSTED, 71, 0),
+        (TWO_LK11_LK12, "first", WITNESS, 115, 1),
+        (TWO_LK11_LK12, "canonical", WITNESS, 100, 1),
+        (TWO_LK11_LK12, "all", WITNESS, 1_163, 12),
+        (LK14_PAIR, "canonical", EXHAUSTED, 7_904, 0),
+    ])
+    def test_looped_graphs_every_mode(self, graph, mode, outcome, nodes, witnesses):
+        report = find_sem(graph, mode)
+        assert (report.outcome, report.nodes, report.witness_count) == (outcome, nodes, witnesses)
+
+
+class TestResourceBudget:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nodes": -1},
+        {"max_nodes": 1.0},
+        {"max_nodes": True},
+        {"max_seconds": -0.5},
+        {"max_seconds": math.nan},
+        {"max_seconds": "1"},
+    ])
+    def test_malformed_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ResourceBudget(**kwargs)
+
+    def test_edge_values_accepted(self):
+        assert ResourceBudget(max_nodes=0, max_seconds=0).max_nodes == 0
+        assert ResourceBudget(max_seconds=math.inf).max_seconds == math.inf
 
 
 class TestSumWindow:
