@@ -16,12 +16,12 @@ from .errors import (
     VerificationFailed,
 )
 from .families import (
+    FAMILIES,
     CertifiedLabeledGraph,
     DeerSpec,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
-    build_primitive,
     build_two_lk11_lk1n,
     build_two_lk1m_lk1n,
     caterpillar_graph,

@@ -48,10 +48,6 @@ class DeerSpec:
     def spine_length(self) -> int:
         return len(self.spine_leaf_counts)
 
-    @property
-    def order(self) -> int:
-        return self.spine_length + sum(self.spine_leaf_counts)
-
 
 @dataclass(frozen=True)
 class CertifiedLabeledGraph:
@@ -117,42 +113,20 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
     if any(c < 0 for c in counts):
         raise BadParam("leaf counts must be non-negative")
     edges = {(i, i + 1) for i in range(1, t)}
-    nxt = t + 1
-    for i, c in enumerate(counts, start=1):
-        for _ in range(c):
-            edges.add((i, nxt))
-            nxt += 1
+    for i, leaves in enumerate(_leaf_ids(counts), start=1):
+        edges.update((i, leaf) for leaf in leaves)
     return Graph(t + sum(counts), frozenset(edges))
 
 
-def _deer_leaf_ids(counts: Sequence[int]) -> list:
-    t = len(counts)
+def _leaf_ids(counts: Sequence[int]) -> list:
+    """The leaves of each spine position of a caterpillar: numbered from t+1
+    on, after the whole spine, in spine order."""
     ids = []
-    nxt = t + 1
+    nxt = len(counts) + 1
     for c in counts:
-        ids.append(list(range(nxt, nxt + c)))
+        ids.append(range(nxt, nxt + c))
         nxt += c
     return ids
-
-
-def build_primitive(kind: str, params: dict | None = None) -> Graph:
-    """Primitive graph dispatch for the CLI: l, lk1n, cycle, caterpillar."""
-    params = params or {}
-    if kind == "l":
-        return loop_graph()
-    if kind == "lk1n":
-        if "n" not in params:
-            raise BadParam("lk1n needs parameter n")
-        return star_with_loop(params["n"])
-    if kind == "cycle":
-        if "k" not in params:
-            raise BadParam("cycle needs parameter k")
-        return cycle_graph(params["k"])
-    if kind == "caterpillar":
-        if "spec" not in params:
-            raise BadParam("caterpillar needs a spine spec")
-        return caterpillar_graph(params["spec"])
-    raise BadParam(f"unknown primitive {kind!r}")
 
 
 # --- certified family constructors ----------------------------------------------
@@ -293,31 +267,25 @@ def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:
     return _certify(graph, labels, f"thm24(m={m},n={n},s={s})")
 
 
-def _caterpillar_sweep(counts: Sequence[int], class_first: bool, reverse: bool) -> list:
-    """One sweep labeling of the caterpillar underlying a deer spec.
+def _caterpillar_sweep(counts: Sequence[int]) -> list:
+    """The sweep labeling of ``caterpillar_graph(counts)``, whose p-1 edge
+    sums are a+2..a+p.
 
-    Vertices split into the class of odd spine positions plus leaves of even
-    positions, and its complement.  Sweeping the spine (optionally reversed)
-    lists each class in encounter order; the chosen class takes 1..a and the
-    other a+1..p.
+    Class A holds the odd spine positions and the leaves of even positions,
+    class B the rest, so every edge joins A and B.  Sweeping the spine from 1
+    to t lists each class in encounter order; A takes 1..a and B a+1..p.
+    Take the edges in the order: leaf edges of position 1, spine edge (1,2),
+    leaf edges of 2, (2,3), and so on.  Each edge keeps one endpoint of the
+    edge before it and moves the other to the next vertex of its class, so the
+    sums rise by exactly 1 from 1 + (a+1) = a+2.
     """
-    t = len(counts)
-    leaf_ids = _deer_leaf_ids(counts)
-    first_cls, second_cls = [], []
-    positions = range(t, 0, -1) if reverse else range(1, t + 1)
-    for pos in positions:
-        if pos % 2 == 1:
-            first_cls.append(pos)
-            second_cls.extend(leaf_ids[pos - 1])
-        else:
-            first_cls.extend(leaf_ids[pos - 1])
-            second_cls.append(pos)
-    a_cls, b_cls = (first_cls, second_cls) if class_first else (second_cls, first_cls)
-    order = t + sum(counts)
-    labels = [0] * (order + 1)
-    for lab, v in enumerate(a_cls, start=1):
-        labels[v] = lab
-    for lab, v in enumerate(b_cls, start=len(a_cls) + 1):
+    a_cls, b_cls = [], []
+    for pos, leaves in enumerate(_leaf_ids(counts), start=1):
+        own, other = (a_cls, b_cls) if pos % 2 == 1 else (b_cls, a_cls)
+        own.append(pos)
+        other.extend(leaves)
+    labels = [0] * (len(a_cls) + len(b_cls) + 1)
+    for lab, v in enumerate(a_cls + b_cls, start=1):
         labels[v] = lab
     return labels[1:]
 
@@ -325,9 +293,12 @@ def _caterpillar_sweep(counts: Sequence[int], class_first: bool, reverse: bool) 
 def build_deer(spec: DeerSpec | Sequence[int]) -> CertifiedLabeledGraph:
     """Deer graph: caterpillar with palindromic odd spine plus a central loop.
 
-    Tries the four sweep labelings of the caterpillar (class order x sweep
-    direction) and returns the first that verifies; the palindromic spine
-    guarantees one of them extends past the loop sum.
+    The labeling is the caterpillar's sweep labeling, whose edge sums are
+    a+2..a+p.  Spine positions i and t+1-i have the same parity and equal
+    leaf counts, so they add equally many vertices to each class, and the
+    centre c = (t+1)/2 adds only itself to its own class: c gets the middle
+    label of its class.  Its loop sum 2f(c) is then a+1 (class A) or a+p+1
+    (class B), which extends the consecutive sums [a+2, a+p] at one end.
     """
     if not isinstance(spec, DeerSpec):
         spec = DeerSpec(tuple(spec))
@@ -336,62 +307,50 @@ def build_deer(spec: DeerSpec | Sequence[int]) -> CertifiedLabeledGraph:
     cat = caterpillar_graph(counts)
     graph = Graph(cat.order, cat.edges | {(center, center)})
     tag = "deer(" + ",".join(str(c) for c in counts) + ")"
-    for class_first in (True, False):
-        for reverse in (False, True):
-            labels = _caterpillar_sweep(counts, class_first, reverse)
-            labeling = VertexLabeling(tuple(labels))
-            ok, window = is_sem(graph, labeling)
-            if ok:
-                return CertifiedLabeledGraph(graph, labeling, window, tag)
-    raise LabelingFailed(f"{tag}: no sweep variant verified")
+    return _certify(graph, _caterpillar_sweep(counts), tag)
 
 
 def odd_cycle_labeling(k: int) -> VertexLabeling:
-    """The alternating SEM labeling of an odd cycle: odd positions get 1..(k+1)/2."""
+    """The alternating SEM labeling of an odd cycle: odd positions get 1..a,
+    a = (k+1)/2, and even positions a+1..k.
+
+    It is the sweep labeling of the path 1..k, whose sums are a+2..a+k; the
+    closing edge (1, k) joins labels 1 and a and adds the sum a+1.
+    """
     if k < 3 or k % 2 == 0:
         raise BadParam(f"need an odd k >= 3, got {k}")
-    labels = [0] * (k + 1)
-    half = (k + 1) // 2
-    for idx, v in enumerate(range(1, k + 1, 2), start=1):
-        labels[v] = idx
-    for idx, v in enumerate(range(2, k + 1, 2), start=1):
-        labels[v] = half + idx
-    labeling = VertexLabeling(tuple(labels[1:]))
-    ok, _ = is_sem(cycle_graph(k), labeling)
-    if not ok:
-        raise LabelingFailed(f"odd cycle labeling failed for k={k}")
-    return labeling
+    return _certify(cycle_graph(k), _caterpillar_sweep([0] * k), f"odd-cycle(k={k})").labeling
 
 
-CERTIFIED_FAMILIES = {
+# name -> (parameter names, builder called with them in that order); ``spec``
+# is the spine leaf counts of a caterpillar or a deer
+FAMILIES = {
+    "l": ((), loop_graph),
+    "lk1n": (("n",), star_with_loop),
+    "cycle": (("k",), cycle_graph),
+    "caterpillar": (("spec",), caterpillar_graph),
+    "deer": (("spec",), build_deer),
     "2lk11-lk1n": (("n",), build_two_lk11_lk1n),
     "2lk1m-lk1n": (("m", "n"), build_two_lk1m_lk1n),
     "odd-lk1n": (("s", "n"), build_odd_copies_lk1n),
     "thm24": (("m", "n", "s"), build_mixed_loop_stars),
 }
 
-PRIMITIVE_FAMILIES = ("l", "lk1n", "cycle", "caterpillar")
-
 
 def construct_family(
     name: str, params: dict | None = None, spec: Sequence[int] | None = None
 ):
-    """CLI dispatch: a certified family instance, a deer, or a bare primitive."""
-    params = params or {}
-    if name == "deer":
-        if spec is None:
-            raise BadParam("deer needs --spec with the spine leaf counts")
-        return build_deer(spec)
-    if name in CERTIFIED_FAMILIES:
-        arg_names, fn = CERTIFIED_FAMILIES[name]
-        missing = [a for a in arg_names if a not in params]
-        if missing:
-            raise BadParam(f"{name} needs parameters {', '.join(arg_names)}")
-        return fn(**{a: params[a] for a in arg_names})
-    if name in PRIMITIVE_FAMILIES:
-        if name == "caterpillar":
-            if spec is None:
-                raise BadParam("caterpillar needs --spec with the spine leaf counts")
-            return build_primitive(name, {"spec": list(spec)})
-        return build_primitive(name, params)
-    raise BadParam(f"unknown family {name!r}")
+    """CLI dispatch: a certified family instance or a bare primitive graph.
+
+    ``spec`` alone supplies the spine leaf counts; a ``spec`` key in
+    ``params`` is ignored, as is every parameter the family does not take.
+    """
+    if name not in FAMILIES:
+        raise BadParam(f"unknown family {name!r}")
+    arg_names, build = FAMILIES[name]
+    args = {**(params or {}), "spec": spec}
+    if any(args.get(a) is None for a in arg_names):
+        if "spec" in arg_names:
+            raise BadParam(f"{name} needs --spec with the spine leaf counts")
+        raise BadParam(f"{name} needs parameters {', '.join(arg_names)}")
+    return build(*(args[a] for a in arg_names))

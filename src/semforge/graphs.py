@@ -50,10 +50,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def degree(self, v: int) -> int:
-        """Number of edge endpoints at v; a loop contributes 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""
         seen = set()
@@ -94,12 +90,6 @@ class Digraph:
     @property
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
-
-    def indegree(self, v: int) -> int:
-        return sum(1 for _, b in self.arcs if b == v)
-
-    def outdegree(self, v: int) -> int:
-        return sum(1 for a, _ in self.arcs if a == v)
 
 
 def _neighbourhoods(g: Graph) -> tuple[list, list]:

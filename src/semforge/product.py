@@ -178,7 +178,7 @@ def corona_iso_check(k: int, n: int) -> bool:
     return isomorphic(product, corona(cycle_graph(k), n))
 
 
-# variant -> the certified family (``families.CERTIFIED_FAMILIES``) it draws on
+# variant -> the certified family (a ``families.FAMILIES`` name) it draws on
 _CORONA_UNION_VARIANTS = {"i": "2lk11-lk1n", "ii": "2lk1m-lk1n", "iii": "odd-lk1n", "iv": "thm24"}
 
 

@@ -235,6 +235,12 @@ def _sem_backtrack(
     return (WITNESS if witnesses else EXHAUSTED), witnesses, nodes
 
 
+def _check_order_bound(order: int, mode: str) -> None:
+    bound = DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
+    if order > bound:
+        raise ResourceLimit(f"order {order} exceeds the {mode}-mode bound {bound}")
+
+
 def find_sem(
     g: Graph,
     mode: str = "first",
@@ -255,9 +261,7 @@ def find_sem(
     if mode not in ("first", "canonical", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     budget = budget or ResourceBudget()
-    bound = DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
-    if g.order > bound:
-        raise ResourceLimit(f"order {g.order} exceeds the {mode}-mode bound {bound}")
+    _check_order_bound(g.order, mode)
     nbhd = _neighbourhoods(g)
     deg = _degrees(g, nbhd)
     verts = list(range(1, g.order + 1))
@@ -472,6 +476,7 @@ def explore_even_copies(s: int, n: int, budget: ResourceBudget | None = None) ->
     """
     if s < 1 or n < 1:
         raise ValueError(f"need s, n >= 1, got s={s}, n={n}")
+    _check_order_bound(2 * s * (n + 1), "first")  # before the graph is built
     g = disjoint_union([star_with_loop(n)] * (2 * s))
     return find_sem(g, "first", budget)
 

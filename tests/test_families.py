@@ -1,14 +1,14 @@
-import random
+import itertools
 
 import pytest
 
 from semforge.errors import BadParam
 from semforge.families import (
+    FAMILIES,
     DeerSpec,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
-    build_primitive,
     build_two_lk11_lk1n,
     build_two_lk1m_lk1n,
     caterpillar_graph,
@@ -177,6 +177,31 @@ class TestDeer:
             counts = half + [rng.randint(0, 3)] + half[::-1]
             assert_certified(build_deer(counts))
 
+    @pytest.mark.parametrize("counts, labels", [
+        ([0], (1,)),
+        ([3], (1, 2, 3, 4)),
+        ([1, 0, 1], (1, 4, 2, 3, 5)),
+        ([2, 1, 2], (1, 6, 3, 4, 5, 2, 7, 8)),
+        ([1, 0, 2, 0, 1], (1, 5, 2, 8, 3, 4, 6, 7, 9)),
+        ([0, 3, 0], (1, 6, 5, 2, 3, 4)),
+        ([1, 0, 2, 1, 2, 0, 1], (1, 7, 2, 10, 4, 13, 5, 6, 8, 9, 3, 11, 12, 14)),
+    ])
+    def test_pinned_labels(self, counts, labels):
+        assert build_deer(counts).labeling.labels == labels
+
+    def test_every_small_palindromic_spec(self):
+        # the sweep verifies on every spec, so build_deer never raises
+        # LabelingFailed: spine <= 9, leaf counts <= 3
+        built = 0
+        for half_len in range(5):
+            for half in itertools.product(range(4), repeat=half_len):
+                for mid in range(4):
+                    counts = [*half, mid, *half[::-1]]
+                    cert = build_deer(counts)
+                    assert cert.graph.order == cert.graph.size == len(counts) + sum(counts)
+                    built += 1
+        assert built == 4 * (1 + 4 + 16 + 64 + 256)
+
 
 class TestComplementOfOutputs:
     @pytest.mark.parametrize(
@@ -218,11 +243,12 @@ class TestPrimitives:
             caterpillar_graph(counts)
 
     def test_dispatch(self):
-        assert build_primitive("l") == loop_graph()
-        assert build_primitive("lk1n", {"n": 3}) == star_with_loop(3)
-        assert build_primitive("cycle", {"k": 4}) == cycle_graph(4)
+        assert construct_family("l") == loop_graph()
+        assert construct_family("lk1n", {"n": 3}) == star_with_loop(3)
+        assert construct_family("cycle", {"k": 4}) == cycle_graph(4)
+        assert construct_family("caterpillar", spec=[1, 0, 1]) == caterpillar_graph([1, 0, 1])
         with pytest.raises(BadParam):
-            build_primitive("nope")
+            construct_family("nope")
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     def test_odd_cycle_labeling(self, k):
@@ -254,3 +280,31 @@ class TestConstructFamilyDispatch:
     def test_unknown(self):
         with pytest.raises(BadParam):
             construct_family("wat")
+
+
+MINIMAL_ARGS = {"n": 1, "k": 3, "m": 1, "s": 1, "spec": [1]}
+
+
+class TestFamiliesTable:
+    def test_names(self):
+        assert set(FAMILIES) == {
+            "l", "lk1n", "cycle", "caterpillar", "deer",
+            "2lk11-lk1n", "2lk1m-lk1n", "odd-lk1n", "thm24",
+        }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_builds_with_minimal_params(self, name):
+        # the parameters a family does not take are passed too, and ignored
+        arg_names, build = FAMILIES[name]
+        result = construct_family(name, {**MINIMAL_ARGS, "x": 7}, MINIMAL_ARGS["spec"])
+        assert result == build(*(MINIMAL_ARGS[a] for a in arg_names))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_missing_param_is_bad_param(self, name):
+        # a "spec" key in params never stands in for the spec argument
+        arg_names, _ = FAMILIES[name]
+        for missing in arg_names:
+            params = {a: v for a, v in MINIMAL_ARGS.items() if a != missing or a == "spec"}
+            spec = None if missing == "spec" else MINIMAL_ARGS["spec"]
+            with pytest.raises(BadParam, match=f"{name} needs"):
+                construct_family(name, params, spec)

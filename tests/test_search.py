@@ -425,6 +425,15 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore_even_copies(0, 1)
 
+    def test_order_bound_before_build(self, monkeypatch):
+        # 2s(n+1) = 30 > 24: the bound fires before the graph is built
+        def no_build(graphs):
+            raise AssertionError("built a graph the order bound rejects")
+
+        monkeypatch.setattr("semforge.search.disjoint_union", no_build)
+        with pytest.raises(ResourceLimit, match="order 30 exceeds the first-mode bound 24"):
+            explore_even_copies(3, 4)
+
 
 class TestPruningSoundness:
     @pytest.mark.parametrize(
