@@ -17,7 +17,6 @@ import click
 from . import search as search_mod
 from .errors import (
     BadAssignment,
-    BadParam,
     LabelingFailed,
     NoSuchOrientation,
     NotSem,
@@ -82,8 +81,11 @@ def _params_dict(text: str) -> dict:
         if "=" not in item:
             raise click.UsageError(f"--params items must look like k=v, got {item!r}")
         key, value = item.split("=", 1)
+        key = key.strip()
+        if key in params:
+            raise click.UsageError(f"--params names {key!r} more than once")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError:
             raise click.UsageError(f"--params value for {key!r} must be an integer")
     return params
@@ -145,27 +147,28 @@ def _load_labeling(path: str) -> VertexLabeling:
 
 def _budget(node_budget: int | None, timeout: float | None) -> ResourceBudget:
     default = ResourceBudget()
-    try:
-        return ResourceBudget(
-            max_nodes=node_budget if node_budget is not None else default.max_nodes,
-            max_seconds=timeout if timeout is not None else default.max_seconds,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return ResourceBudget(
+        max_nodes=node_budget if node_budget is not None else default.max_nodes,
+        max_seconds=timeout if timeout is not None else default.max_seconds,
+    )
 
 
-def _report_exit(report) -> None:
-    code = {"witness": 0, "exhausted": EXIT_NEGATIVE, "aborted": EXIT_LIMIT}[report.outcome]
-    sys.exit(code)
+def _report(report, out: str | None) -> None:
+    """Emit a search report and exit by its outcome."""
+    _emit(json.dumps(report_json(report)) + "\n", out)
+    sys.exit({"witness": 0, "exhausted": EXIT_NEGATIVE, "aborted": EXIT_LIMIT}[report.outcome])
 
 
-class _Main(click.Group):
+class _Command(click.Command):
     """Keeps every ending inside the exit-code contract.
 
-    A resource limit exits 3 wherever it is raised.  Any other exception that
-    escapes a command is a malformed input no loader caught or an internal
-    error; it exits 2 so it can never read as a witness (0) or a negative
-    result (1).  Click's own exceptions and ``sys.exit`` pass through.
+    A command that returns exits 0.  Click's exceptions and ``sys.exit`` pass
+    through.  ``ResourceLimit`` exits 3 and ``VerificationFailed`` exits 1,
+    each with its message on stderr.  ``ValueError`` (``BadParam`` too),
+    ``BadAssignment``, ``NotSem`` and ``LabelingFailed`` are malformed input:
+    a usage error, exit 2.  Any other exception is an internal error, printed
+    as ``error: <Type>: <message>``; it exits 2 so it can never read as a
+    witness (0) or a negative result (1).
     """
 
     def invoke(self, ctx):
@@ -176,9 +179,18 @@ class _Main(click.Group):
         except ResourceLimit as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_LIMIT)
+        except VerificationFailed as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(EXIT_NEGATIVE)
+        except (ValueError, BadAssignment, NotSem, LabelingFailed) as exc:
+            raise click.UsageError(str(exc), ctx)
         except Exception as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_USAGE)
+
+
+class _Main(click.Group):
+    command_class = _Command
 
 
 @click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
@@ -195,10 +207,7 @@ def main():
 @click.option("--out", default=None, help="Write output to this file instead of stdout.")
 def construct(family_name, params, spec, fmt, out):
     """Build a certified family instance or a primitive graph."""
-    try:
-        result = construct_family(family_name, _params_dict(params), _spec_list(spec))
-    except (BadParam, LabelingFailed, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    result = construct_family(family_name, _params_dict(params), _spec_list(spec))
     if isinstance(result, CertifiedLabeledGraph):
         graph, labeling = result.graph, result.labeling
     else:
@@ -213,7 +222,6 @@ def construct(family_name, params, spec, fmt, out):
         _emit(format_graph(graph), out)
     else:
         _emit(export_dot(graph, labeling), out)
-    sys.exit(0)
 
 
 @main.command()
@@ -223,12 +231,7 @@ def construct(family_name, params, spec, fmt, out):
 def verify(graph_path, labeling_path, out):
     """Check a vertex labeling for the consecutive-sum certificate."""
     g = _load_graph(graph_path)
-    labeling = _load_labeling(labeling_path)
-    if labeling.order != g.order:
-        raise click.UsageError(
-            f"labeling has {labeling.order} labels but the graph has order {g.order}"
-        )
-    data = labeling_json(g, labeling)
+    data = labeling_json(g, _load_labeling(labeling_path))
     _emit(json.dumps(data) + "\n", out)
     sys.exit(0 if data["sem"] else EXIT_NEGATIVE)
 
@@ -242,9 +245,7 @@ def verify(graph_path, labeling_path, out):
 def search_cmd(graph_path, mode, node_budget, timeout, out):
     """Search for a super edge-magic labeling."""
     g = _load_graph(graph_path)
-    report = search_mod.find_sem(g, mode, _budget(node_budget, timeout))
-    _emit(json.dumps(report_json(report)) + "\n", out)
-    _report_exit(report)
+    _report(search_mod.find_sem(g, mode, _budget(node_budget, timeout)), out)
 
 
 @main.command()
@@ -257,11 +258,8 @@ def search_cmd(graph_path, mode, node_budget, timeout, out):
 def certify(graph_path, cross_check, node_budget, timeout, out):
     """Exhaust the search space; exit 1 reports a non-existence certificate."""
     g = _load_graph(graph_path)
-    report = search_mod.certify_not_sem(
-        g, _budget(node_budget, timeout), cross_check=cross_check
-    )
-    _emit(json.dumps(report_json(report)) + "\n", out)
-    _report_exit(report)
+    budget = _budget(node_budget, timeout)
+    _report(search_mod.certify_not_sem(g, budget, cross_check=cross_check), out)
 
 
 @main.command()
@@ -280,11 +278,15 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
     host = _load_digraph(host_path)
     if (family_dir is None) == (snk is None):
         raise click.UsageError("give exactly one of --family-dir or --snk")
+    if snk is not None:
+        try:
+            n, k = (int(x) for x in snk.split(","))
+        except ValueError:
+            raise click.UsageError(f"--snk must be two integers N,K, got {snk!r}")
     try:
         if family_dir is not None:
             family = load_family(family_dir)
         else:
-            n, k = (int(x) for x in snk.split(","))
             family = search_mod.enumerate_snk(n, k)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         raise click.UsageError(f"cannot load family: {exc!r}")
@@ -295,21 +297,13 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
             raise click.UsageError(f"bad assignment file: {exc}")
     else:
         assignment = constant_assignment(host, member)
-    try:
-        if emit_what == "digraph":
-            _emit(format_digraph(otimes_h(host, assignment, family)), out)
-            sys.exit(0)
-        if host_labeling_path is None:
-            raise click.UsageError("--emit labeling needs --host-labeling")
-        host_labeling = _load_labeling(host_labeling_path)
-        lifted = lift_to_product(host, host_labeling, family, assignment)
-        _emit(json.dumps(certificate_json(lifted)) + "\n", out)
-        sys.exit(0)
-    except (BadAssignment, NotSem) as exc:
-        raise click.UsageError(str(exc))
-    except VerificationFailed as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_NEGATIVE)
+    if emit_what == "digraph":
+        _emit(format_digraph(otimes_h(host, assignment, family)), out)
+        return
+    if host_labeling_path is None:
+        raise click.UsageError("--emit labeling needs --host-labeling")
+    lifted = lift_to_product(host, _load_labeling(host_labeling_path), family, assignment)
+    _emit(json.dumps(certificate_json(lifted)) + "\n", out)
 
 
 @main.command()
@@ -319,16 +313,12 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
 @click.option("--out", default=None)
 def census(order_, node_budget, timeout, out):
     """Catalog equal order/size graphs up to isomorphism with their SEM status."""
-    try:
-        entries = census_equal_order_size(order_, _budget(node_budget, timeout))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    entries = census_equal_order_size(order_, _budget(node_budget, timeout))
     lines = [
         json.dumps({"p": g.order, "edges": [list(e) for e in g.sorted_edges], "sem": sem})
         for g, sem in entries
     ]
     _emit("\n".join(lines) + "\n", out)
-    sys.exit(0)
 
 
 @main.command("complement")
@@ -339,12 +329,7 @@ def complement_cmd(graph_path, labeling_path, out):
     """Emit the complementary labeling x -> p+1-f(x), re-verified on the graph."""
     g = _load_graph(graph_path)
     labeling = _load_labeling(labeling_path)
-    if labeling.order != g.order:
-        raise click.UsageError(
-            f"labeling has {labeling.order} labels but the graph has order {g.order}"
-        )
     _emit(json.dumps(labeling_json(g, complement(labeling))) + "\n", out)
-    sys.exit(0)
 
 
 @main.command()
@@ -362,10 +347,7 @@ def matrix(graph_path, labeling_path, rotate, profile_, out):
         raise click.UsageError(
             f"labeling has {relabel.order} labels but the digraph has order {d.order}"
         )
-    try:
-        mat = adjacency_matrix(d, relabel)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    mat = adjacency_matrix(d, relabel)
     if rotate:
         mat = rotate_pi(mat)
     if profile_:
@@ -378,7 +360,6 @@ def matrix(graph_path, labeling_path, rotate, profile_, out):
         _emit(json.dumps(payload) + "\n", out)
         sys.exit(0 if prof.compliant else EXIT_NEGATIVE)
     _emit("\n".join(mat.row_strings()) + "\n", out)
-    sys.exit(0)
 
 
 @main.command()
@@ -391,14 +372,8 @@ def explore(params, node_budget, timeout, out):
     values = _params_dict(params)
     if "s" not in values or "n" not in values:
         raise click.UsageError("explore needs --params s=..,n=..")
-    try:
-        report = search_mod.explore_even_copies(
-            values["s"], values["n"], _budget(node_budget, timeout)
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(json.dumps(report_json(report)) + "\n", out)
-    _report_exit(report)
+    budget = _budget(node_budget, timeout)
+    _report(search_mod.explore_even_copies(values["s"], values["n"], budget), out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,6 +24,7 @@ Arc = tuple[int, int]
 DEFAULT_ISO_ORDER_BOUND = 512
 DEFAULT_ISO_NODE_BUDGET = 10_000_000
 DEFAULT_CANONICAL_ORDER_BOUND = 10
+MATRIX_ORDER_BOUND = 2000  # p * p cells of about 16 bytes each: 64 MB at the bound
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,12 @@ def adjacency_matrix(
     """Adjacency matrix of d, optionally with vertices renamed by a bijection.
 
     With ``relabel`` given, entry (f(a), f(b)) is 1 iff (a, b) is an arc, i.e.
-    the vertices take the name of their labels.
+    the vertices take the name of their labels.  Above ``MATRIX_ORDER_BOUND``
+    it raises ``ResourceLimit`` before allocating anything.
     """
     n = d.order
+    if n > MATRIX_ORDER_BOUND:
+        raise ResourceLimit(f"adjacency matrix bound is order <= {MATRIX_ORDER_BOUND}")
     if relabel is None:
         names = list(range(1, n + 1))
     else:

@@ -402,9 +402,12 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     if the class is loopless) to 1 and its other neighbours onto
     {2..d(c)+1}.  ``budget.max_nodes`` bounds the subsets visited;
     ``budget.max_seconds`` the whole census, class searches included; an
-    aborted class search raises ``ResourceLimit``.
+    aborted class search raises ``ResourceLimit``, and so does p > 8 (order 8
+    takes 13 s).
     """
-    if not 1 <= p <= 8:
+    if p > 8:
+        raise ResourceLimit("census bound is order <= 8")
+    if p < 1:
         raise ValueError(f"census supports 1 <= p <= 8, got {p}")
     budget = budget or ResourceBudget()
     deadline = time.monotonic() + budget.max_seconds

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semforge.cli import export_dot, main
+from semforge.cli import _Command, export_dot, main
 from semforge.families import (
     build_two_lk11_lk1n,
     cycle_graph,
@@ -497,6 +497,15 @@ class TestProductCommand:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("snk", ["2,2,2", "a,b", ""])
+    def test_snk_needs_two_integers(self, runner, tmp_path, snk):
+        gpath = tmp_path / "c3.txt"
+        gpath.write_text(format_graph(cycle_graph(3)))
+        result = runner.invoke(main, ["product", "--graph", str(gpath), "--snk", snk])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: --snk must be two integers N,K, got {snk!r}\n")
+
+
 class TestCensusCommand:
     def test_order_two(self, runner):
         result = runner.invoke(main, ["census", "--order", "2"])
@@ -627,3 +636,114 @@ class TestUsageErrors:
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["search", "--graph", "/nonexistent.txt"])
         assert result.exit_code == 2
+
+
+_STAR = "3 3\n1 1\n1 2\n1 3\n"  # lk12
+_TWO_LOOPS = "2 2\n1 1\n2 2\n"
+_TREE = "3 2\n1 2\n2 3\n"
+_TWO_LABELS = '{"labels": [1, 2]}'
+_STAR_ARGS = ["--graph", "star.txt"]
+
+
+def _row(name, args, files, code, last):
+    return pytest.param(args, files, code, last, id=name)
+
+
+class TestExitCodeContract:
+    """The exit-code contract on failing invocations.  Each row gives the
+    arguments, the input files, the exit code and the last line of output."""
+
+    @pytest.mark.parametrize("args, files, code, last", [
+        _row("construct-unknown-family", ["construct", "--family", "nope"], {},
+             2, "Error: unknown family 'nope'"),
+        _row("construct-missing-params", ["construct", "--family", "lk1n"], {},
+             2, "Error: lk1n needs parameters n"),
+        _row("construct-bad-param", ["construct", "--family", "lk1n", "--params", "n=-1"], {},
+             2, "Error: star_with_loop needs n >= 0, got -1"),
+        _row("construct-bad-spec", ["construct", "--family", "deer", "--spec", "1,x"], {},
+             2, "Error: --spec must be comma-separated integers, got '1,x'"),
+        _row("construct-repeated-param",
+             ["construct", "--family", "lk1n", "--params", "n=1,n=2", "--format", "edgelist"],
+             {}, 2, "Error: --params names 'n' more than once"),
+        _row("verify-short-labeling", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": _TWO_LABELS},
+             2, "Error: labeling has 2 labels but the graph has order 3"),
+        _row("verify-not-sem", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
+             {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
+             1, '{"p": 2, "labels": [1, 2], "sem": false, "window": null, "magic_sum": null}'),
+        _row("complement-short-labeling", ["complement", *_STAR_ARGS, "--labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": _TWO_LABELS},
+             2, "Error: labeling has 2 labels but the graph has order 3"),
+        _row("matrix-short-labeling", ["matrix", *_STAR_ARGS, "--labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": _TWO_LABELS},
+             2, "Error: labeling has 2 labels but the digraph has order 3"),
+        _row("matrix-no-orientation", ["matrix", "--graph", "tree.txt"], {"tree.txt": _TREE},
+             2, "Error: tree.txt holds an undirected graph with no indegree-1 orientation: "
+                "component [1, 2, 3] has no cycle (it is a tree)"),
+        # one arc, but the header's order alone would ask for 2001 * 2001 cells
+        _row("matrix-order-bound", ["matrix", "--graph", "d.txt", "--profile"],
+             {"d.txt": "2001 1 d\n1 1\n"}, 3, "adjacency matrix bound is order <= 2000"),
+        _row("search-nan-timeout", ["search", *_STAR_ARGS, "--timeout", "nan"],
+             {"star.txt": _STAR}, 2, "Error: timeout must be a number >= 0, got nan"),
+        _row("search-negative-budget", ["search", *_STAR_ARGS, "--node-budget", "-1"],
+             {"star.txt": _STAR}, 2, "Error: node budget must be an integer >= 0, got -1"),
+        _row("search-order-bound", ["search", "--graph", "g.txt"],
+             {"g.txt": format_graph(star_with_loop(24))},
+             3, "order 25 exceeds the first-mode bound 24"),
+        _row("certify-order-bound", ["certify", "--graph", "g.txt"],
+             {"g.txt": format_graph(star_with_loop(16))},
+             3, "order 17 exceeds the certification bound 16"),
+        _row("explore-needs-params", ["explore", "--params", "s=1"], {},
+             2, "Error: explore needs --params s=..,n=.."),
+        _row("explore-bad-copies", ["explore", "--params", "s=0,n=1"], {},
+             2, "Error: need s, n >= 1, got s=0, n=1"),
+        _row("explore-order-bound", ["explore", "--params", "s=400,n=1000"], {},
+             3, "order 800800 exceeds the first-mode bound 24"),
+        _row("product-no-source", ["product", *_STAR_ARGS], {"star.txt": _STAR},
+             2, "Error: give exactly one of --family-dir or --snk"),
+        _row("product-no-orientation", ["product", "--graph", "tree.txt", "--snk", "2,2"],
+             {"tree.txt": _TREE},
+             2, "Error: tree.txt holds an undirected graph with no indegree-1 orientation: "
+                "component [1, 2, 3] has no cycle (it is a tree)"),
+        _row("product-bad-assignment",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt"],
+             {"star.txt": _STAR, "a.txt": "1 2 0\n"},
+             2, "Error: assignment misses host arcs [(1, 1), (1, 3)]"),
+        _row("product-no-host-labeling",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--emit", "labeling"],
+             {"star.txt": _STAR}, 2, "Error: --emit labeling needs --host-labeling"),
+        _row("product-host-labeling-not-sem",
+             ["product", "--graph", "g.txt", "--snk", "2,2", "--host-labeling", "l.json",
+              "--emit", "labeling"],
+             {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
+             2, "Error: host labeling is not super edge-magic"),
+        _row("product-short-host-labeling",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--host-labeling", "l.json",
+              "--emit", "labeling"],
+             {"star.txt": _STAR, "l.json": _TWO_LABELS},
+             2, "Error: labeling has 2 labels but the graph has order 3"),
+        _row("product-snk-bound", ["product", *_STAR_ARGS, "--snk", "6,2"], {"star.txt": _STAR},
+             3, "family enumeration bound is n <= 5"),
+        _row("product-snk-one-integer", ["product", *_STAR_ARGS, "--snk", "2"],
+             {"star.txt": _STAR}, 2, "Error: --snk must be two integers N,K, got '2'"),
+        _row("census-order-0", ["census", "--order", "0"], {},
+             2, "Error: census supports 1 <= p <= 8, got 0"),
+        _row("census-order-9", ["census", "--order", "9"], {}, 3, "census bound is order <= 8"),
+        _row("census-negative-budget", ["census", "--order", "3", "--node-budget", "-1"], {},
+             2, "Error: node budget must be an integer >= 0, got -1"),
+        _row("census-zero-budget", ["census", "--order", "3", "--node-budget", "0"], {},
+             3, "census node budget exhausted"),
+    ])
+    def test_row(self, runner, tmp_path, monkeypatch, args, files, code, last):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output.splitlines()[-1]) == (code, last)
+        if last.startswith("Error: "):
+            # a usage error keeps the sub-command's usage lines
+            assert f"Try 'main {args[0]} --help' for help." in result.output
+
+    def test_every_command_keeps_the_contract(self):
+        assert main.commands
+        assert all(isinstance(cmd, _Command) for cmd in main.commands.values())

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semforge.errors import NoSuchOrientation
+from semforge import graphs
+from semforge.errors import NoSuchOrientation, ResourceLimit
 from semforge.graphs import (
+    MATRIX_ORDER_BOUND,
     AdjacencyMatrix,
     Digraph,
     Graph,
@@ -252,6 +254,17 @@ class TestAdjacencyMatrix:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             adjacency_matrix(Digraph(2, [(1, 2)]), [1, 1])
+
+    def test_order_bound_before_allocating(self):
+        # p * p cells: the header alone must not decide the allocation
+        with pytest.raises(ResourceLimit, match="order <= 2000"):
+            adjacency_matrix(Digraph(MATRIX_ORDER_BOUND + 1, []))
+
+    def test_order_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MATRIX_ORDER_BOUND", 2)
+        assert adjacency_matrix(Digraph(2, [(1, 2)])).rows == ((0, 1), (0, 0))
+        with pytest.raises(ResourceLimit):
+            adjacency_matrix(Digraph(3, [(1, 2)]))
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -381,8 +381,11 @@ class TestCensus:
         assert looped or k >= 1
 
     def test_order_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimit):
             census_equal_order_size(9)
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                census_equal_order_size(p)
 
     def test_budget(self):
         with pytest.raises(ResourceLimit):
