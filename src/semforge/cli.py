@@ -283,13 +283,17 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
             n, k = (int(x) for x in snk.split(","))
         except ValueError:
             raise click.UsageError(f"--snk must be two integers N,K, got {snk!r}")
-    try:
-        if family_dir is not None:
+    if family_dir is not None:
+        try:
             family = load_family(family_dir)
-        else:
-            family = search_mod.enumerate_snk(n, k)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        raise click.UsageError(f"cannot load family: {exc!r}")
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(f"cannot load family {Path(family_dir) / 'family.json'}: {exc}")
+    else:
+        family = search_mod.enumerate_snk(n, k)
+        if not family.members:
+            raise click.UsageError(
+                f"--snk {n},{k}: no digraph on [1,{n}] has arc sums {k}..{k + n - 1}"
+            )
     if assignment_path is not None:
         try:
             assignment = parse_assignment(Path(assignment_path).read_text())

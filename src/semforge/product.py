@@ -234,6 +234,9 @@ def load_family(directory: str | Path) -> LabeledFamily:
     meta = json.loads((directory / "family.json").read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"family.json must hold a JSON object, got {type(meta).__name__}")
+    missing = [key for key in ("n", "k", "members") if key not in meta]
+    if missing:
+        raise ValueError(f"missing key {', '.join(map(repr, missing))}")
     n, k, names = meta["n"], meta["k"], meta["members"]
     if type(n) is not int or type(k) is not int:
         raise ValueError(f"family n and k must be integers, got n={n!r}, k={k!r}")
@@ -242,8 +245,14 @@ def load_family(directory: str | Path) -> LabeledFamily:
     for name in names:
         if name in ("", "..") or Path(name).name != name:
             raise ValueError(f"family member {name!r} is not a file name inside {directory}")
-    members = tuple(parse_digraph((directory / name).read_text()) for name in names)
-    return LabeledFamily(n, k, members)
+    members = []
+    for name in names:
+        text = (directory / name).read_text()
+        try:
+            members.append(parse_digraph(text))
+        except ValueError as exc:
+            raise ValueError(f"member file {name}: {exc}") from None
+    return LabeledFamily(n, k, tuple(members))
 
 
 def parse_assignment(text: str) -> dict:

@@ -5,8 +5,10 @@ The SEM search (``_sem_backtrack``) is one core behind ``find_sem``,
 ``certify_not_sem`` and the census.  It anchors the window of induced sums:
 the consecutive-sums identity confines the minimum sum s to a short range,
 and a partial labeling dies as soon as its sums fit no window [s, s+q-1]
-with s in that range.  Outside ``all`` mode it also breaks the symmetry of
-twin vertices and of the complement labeling.
+with s in that range.  The same identity, bounded by the degrees of the
+vertices still unplaced, narrows that range again at every depth.  Outside
+``all`` mode the search also breaks the symmetry of twin vertices and of the
+complement labeling.
 
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
@@ -33,7 +35,7 @@ ABORTED = "aborted"
 
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
-DEFAULT_CERTIFY_BOUND = 16
+DEFAULT_CERTIFY_BOUND = 19  # scripts/certify_sweep.py
 SNK_ORDER_BOUND = 5
 
 
@@ -120,6 +122,18 @@ def _sum_starts(deg: list, p: int, q: int) -> range:
     return range(max(2, -((base - low) // q)), min(2 * p - q + 1, (high - base) // q) + 1)
 
 
+def _degree_tables(deg: list, verts: list) -> tuple:
+    """The degree ``dv[t]`` of the vertex at each search position t, and the
+    minimum ``dmin[t]`` and maximum ``dmax[t]`` degree over positions t..p-1;
+    ``dmin[p] = dmax[p] = 0``, since no position is left."""
+    dv = [deg[v] for v in verts]
+    dmin, dmax = dv + [0], dv + [0]
+    for t in range(len(dv) - 2, -1, -1):
+        dmin[t] = min(dmin[t], dmin[t + 1])
+        dmax[t] = max(dmax[t], dmax[t + 1])
+    return dv, dmin, dmax
+
+
 def _sem_backtrack(
     g: Graph,
     nbhd: tuple,
@@ -141,6 +155,18 @@ def _sem_backtrack(
     and a partial assignment dies as soon as the range empties or a sum
     repeats.  One pass thus covers every window and visits each partial
     assignment once, however many windows it fits.
+
+    Every depth also applies the consecutive-sums identity
+    Σ deg(v)·f(v) = q·s + q(q-1)/2 to the vertices left.  The search carries
+    P = Σ deg·f over the placed positions and U, the sum of the unused
+    labels; the positions after t hold those labels, each weighted by a
+    degree between ``dmin[t+1]`` and ``dmax[t+1]`` (``_degree_tables``), so
+    q·s + q(q-1)/2 lies in [P + dmin[t+1]·U, P + dmax[t+1]·U] once position
+    t is placed.  That interval narrows [a, b] after a label passes its row,
+    and the label dies when the range empties.  The condition is necessary,
+    so it only removes subtrees without a witness and holds in every mode.
+    It cannot cut when all degrees are equal (Σ deg·f is then the same for
+    every bijection), nor without edges, so it is skipped there.
 
     In ``first`` and ``canonical`` mode two symmetry-breaking cuts apply
     (Crawford, Ginsberg, Luks & Roy, 1996): each vertex takes a label above
@@ -177,6 +203,9 @@ def _sem_backtrack(
             key = (frozenset(nbrs[v]), loop[v])
             twin_prev[t] = last.get(key, -1)
             last[key] = t
+    dv, dmin, dmax = _degree_tables(deg, verts)
+    degree_bound = q > 0 and dmin[0] != dmax[0]  # a regular graph always meets it
+    base = q * (q - 1) // 2
     assigned = [0] * p
     used = [False] * (p + 1)
     seen = bytearray(2 * p + 3)
@@ -185,7 +214,7 @@ def _sem_backtrack(
     max_nodes = budget.max_nodes
     span = q - 1
 
-    def extend(t: int, a: int, b: int) -> bool:
+    def extend(t: int, a: int, b: int, placed: int, unused: int) -> bool:
         nonlocal nodes
         if t == p:
             labels = [0] * p
@@ -196,6 +225,7 @@ def _sem_backtrack(
         row = rows[t]
         twin = twin_prev[t]
         start = assigned[twin] + 1 if twin >= 0 else 1
+        d, lo, hi = dv[t], dmin[t + 1], dmax[t + 1]
         for lab in range(start, first_stop if t == 0 else p + 1):
             if used[lab]:
                 continue
@@ -220,16 +250,28 @@ def _sem_backtrack(
                 if na > nb:
                     break
             else:
-                used[lab] = True
-                if extend(t + 1, na, nb):
-                    return True
-                used[lab] = False
+                if degree_bound:
+                    # q·s + base lies in [P + lo·U, P + hi·U] after this label
+                    pl, un = placed + d * lab, unused - lab
+                    least = -((base - pl - lo * un) // q)
+                    if least > na:
+                        na = least
+                    most = (pl + hi * un - base) // q
+                    if most < nb:
+                        nb = most
+                else:
+                    pl = un = 0
+                if na <= nb:
+                    used[lab] = True
+                    if extend(t + 1, na, nb, pl, un):
+                        return True
+                    used[lab] = False
             for s in added:
                 seen[s] = 0
         return False
 
     try:
-        extend(0, starts[0], starts[-1])
+        extend(0, starts[0], starts[-1], 0, p * (p + 1) // 2)
     except _Abort:
         return ABORTED, witnesses, nodes
     return (WITNESS if witnesses else EXHAUSTED), witnesses, nodes
@@ -239,6 +281,15 @@ def _check_order_bound(order: int, mode: str) -> None:
     bound = DEFAULT_ORDER_BOUND_ALL if mode == "all" else DEFAULT_ORDER_BOUND
     if order > bound:
         raise ResourceLimit(f"order {order} exceeds the {mode}-mode bound {bound}")
+
+
+def _variable_order(deg: list, mode: str) -> list:
+    """The static order in which the search places the vertices: descending
+    degree then index for ``first``, index order otherwise."""
+    verts = list(range(1, len(deg)))
+    if mode == "first":
+        verts.sort(key=lambda v: -deg[v])
+    return verts
 
 
 def find_sem(
@@ -264,9 +315,7 @@ def find_sem(
     _check_order_bound(g.order, mode)
     nbhd = _neighbourhoods(g)
     deg = _degrees(g, nbhd)
-    verts = list(range(1, g.order + 1))
-    if mode == "first":
-        verts.sort(key=lambda v: -deg[v])
+    verts = _variable_order(deg, mode)
     start = time.monotonic()
     deadline = start + budget.max_seconds
     status, wits, nodes = _sem_backtrack(g, nbhd, verts, deg, mode, budget, deadline)
@@ -286,18 +335,16 @@ def find_sem(
     )
 
 
-def exhaustive_sem_search(g: Graph):
-    """Unpruned oracle: test every bijection of [1,p] by direct summation.
+def sem_bijections(g: Graph):
+    """Unpruned oracle: yield every SEM bijection of [1,p] as a label tuple,
+    found by testing each one by direct summation.
 
-    Independent of the pruned searcher.  Returns ``(count, first_witness)``;
-    permutations are generated in lexicographic order of the labeling vector,
-    so the first witness is the canonical one.
+    Independent of the pruned searcher.  Permutations come in lexicographic
+    order of the labeling vector.
     """
-    p, q = g.order, g.size
+    q = g.size
     pairs = [(u - 1, v - 1) for u, v in g.sorted_edges]
-    count = 0
-    first = None
-    for perm in itertools.permutations(range(1, p + 1)):
+    for perm in itertools.permutations(range(1, g.order + 1)):
         seen = 0
         lo = 10**9
         hi = 0
@@ -314,9 +361,18 @@ def exhaustive_sem_search(g: Graph):
             if s > hi:
                 hi = s
         if ok and (q == 0 or hi - lo + 1 == q):
-            count += 1
-            if first is None:
-                first = VertexLabeling(perm)
+            yield perm
+
+
+def exhaustive_sem_search(g: Graph):
+    """Unpruned oracle: ``(count, first_witness)`` over ``sem_bijections``;
+    the first witness is the canonical one."""
+    count = 0
+    first = None
+    for perm in sem_bijections(g):
+        count += 1
+        if first is None:
+            first = VertexLabeling(perm)
     return count, first
 
 

@@ -126,18 +126,18 @@ def test_criterion_3_nonexistence_certificates():
     start = time.monotonic()
     failures = []
     instances = []
-    for m in range(1, 9):
-        for n in range(1, 9):
-            if m + n + 2 <= 10:
+    for m in range(1, 13):
+        for n in range(1, 13):
+            if m + n + 2 <= 14:
                 instances.append(
                     (f"lk1{m}+lk1{n}",
                      disjoint_union([star_with_loop(m), star_with_loop(n)]))
                 )
-    for n in range(1, 9):
+    for n in range(1, 13):
         instances.append(
             (f"l+lk1{n}", disjoint_union([loop_graph(), star_with_loop(n)]))
         )
-    for n in range(1, 8):
+    for n in range(1, 12):
         instances.append(
             (f"2l+lk1{n}",
              disjoint_union([loop_graph(), loop_graph(), star_with_loop(n)]))

@@ -490,6 +490,41 @@ class TestProductCommand:
             assert type(family.n) is int and type(family.k) is int
             assert (family.n, family.k) == (data["n"], data["k"])
 
+    @pytest.mark.parametrize("emit", [[], ["--emit", "labeling", "--host-labeling", "l.json"]],
+                             ids=["digraph", "labeling"])
+    def test_infeasible_snk_usage_error(self, runner, tmp_path, monkeypatch, emit):
+        # S_2^100 is empty: enumerate_snk returns no members, and the run
+        # names --snk instead of blaming the assignment
+        monkeypatch.chdir(tmp_path)
+        Path("c3.txt").write_text(format_graph(cycle_graph(3)))
+        Path("l.json").write_text(json.dumps({"p": 3, "labels": [1, 2, 3]}))
+        result = runner.invoke(main, ["product", "--graph", "c3.txt", "--snk", "2,100", *emit])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: --snk 2,100: no digraph on [1,2] has arc sums 100..101"
+        )
+
+    @pytest.mark.parametrize("meta, message", [
+        ('{"n": 2, "k": 2}', "missing key 'members'"),
+        ('{"n": 2, "k": 2, "members": [', "Expecting value: line 1 column 30 (char 29)"),
+        ('{"n": 2, "k": 2, "members": ["member000.txt", "gone.txt"]}',
+         f"[Errno 2] No such file or directory: {str(Path('fam/gone.txt'))!r}"),
+        ('{"n": 2, "k": 2, "members": ["member000.txt", "bad.txt"]}',
+         "member file bad.txt: expected 2 arc lines, found 1"),
+    ], ids=["missing-key", "invalid-json", "missing-member", "bad-member"])
+    def test_family_load_error_names_the_file(self, runner, tmp_path, monkeypatch,
+                                              meta, message):
+        monkeypatch.chdir(tmp_path)
+        Path("host.txt").write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+        save_family(enumerate_snk(2, 2), "fam")
+        Path("fam/bad.txt").write_text("2 2 d\n1 2\n")
+        Path("fam/family.json").write_text(meta)
+        result = runner.invoke(main, ["product", "--graph", "host.txt", "--family-dir", "fam"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            f"Error: cannot load family {Path('fam/family.json')}: {message}"
+        )
+
     def test_family_source_required(self, runner, tmp_path):
         hpath = tmp_path / "host.txt"
         hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
@@ -691,8 +726,8 @@ class TestExitCodeContract:
              {"g.txt": format_graph(star_with_loop(24))},
              3, "order 25 exceeds the first-mode bound 24"),
         _row("certify-order-bound", ["certify", "--graph", "g.txt"],
-             {"g.txt": format_graph(star_with_loop(16))},
-             3, "order 17 exceeds the certification bound 16"),
+             {"g.txt": format_graph(star_with_loop(19))},
+             3, "order 20 exceeds the certification bound 19"),
         _row("explore-needs-params", ["explore", "--params", "s=1"], {},
              2, "Error: explore needs --params s=..,n=.."),
         _row("explore-bad-copies", ["explore", "--params", "s=0,n=1"], {},

@@ -1,7 +1,10 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,10 @@ from semforge.search import (
     WITNESS,
     ResourceBudget,
     SearchReport,
+    _degree_tables,
     _degrees,
     _sum_starts,
+    _variable_order,
     census_equal_order_size,
     certify_not_sem,
     enumerate_snk,
@@ -35,6 +40,7 @@ from semforge.search import (
     feasible_sum_starts,
     find_sem,
     report_json,
+    sem_bijections,
 )
 from semforge.graphs import indegree_one_orientation, underlying
 
@@ -103,16 +109,19 @@ class TestFindSem:
 
 class TestNodeCounts:
     """Node counts are deterministic and hardware-independent.  A change to
-    the search order changes them, and must update these pins on purpose."""
+    the search order or its pruning changes them, and must update these pins
+    on purpose."""
 
     LK14_PAIR = disjoint_union([star_with_loop(4), star_with_loop(4)])
+    LK15_PAIR = disjoint_union([star_with_loop(5), star_with_loop(5)])
 
     def test_lk14_pair_exhausted(self):
         report = find_sem(self.LK14_PAIR, "first")
-        assert (report.outcome, report.nodes) == (EXHAUSTED, 6_883)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 1_494)
 
     def test_node_budget_bounds_whole_search(self):
-        report = find_sem(self.LK14_PAIR, "first", ResourceBudget(max_nodes=5_000))
+        # the whole search takes 9,325 nodes (test_lk15_pair_certified)
+        report = find_sem(self.LK15_PAIR, "first", ResourceBudget(max_nodes=5_000))
         assert (report.outcome, report.nodes) == (ABORTED, 5_001)
 
     @pytest.mark.parametrize("k,nodes", [(21, 33_723), (23, 27_247)])
@@ -121,9 +130,8 @@ class TestNodeCounts:
         assert (report.outcome, report.nodes) == (WITNESS, nodes)
 
     def test_lk15_pair_certified(self):
-        g = disjoint_union([star_with_loop(5), star_with_loop(5)])
-        report = certify_not_sem(g)
-        assert (report.outcome, report.nodes) == (EXHAUSTED, 51_616)
+        report = certify_not_sem(self.LK15_PAIR)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 9_325)
 
     # looped graphs in the index-order modes too, where a looped vertex is
     # not necessarily placed first
@@ -131,13 +139,13 @@ class TestNodeCounts:
     TWO_LK11_LK12 = build_two_lk11_lk1n(2).graph
 
     @pytest.mark.parametrize("graph,mode,outcome,nodes,witnesses", [
-        (L_LK13, "first", EXHAUSTED, 31, 0),
-        (L_LK13, "canonical", EXHAUSTED, 32, 0),
-        (L_LK13, "all", EXHAUSTED, 71, 0),
-        (TWO_LK11_LK12, "first", WITNESS, 115, 1),
-        (TWO_LK11_LK12, "canonical", WITNESS, 100, 1),
-        (TWO_LK11_LK12, "all", WITNESS, 1_163, 12),
-        (LK14_PAIR, "canonical", EXHAUSTED, 7_904, 0),
+        pytest.param(L_LK13, "first", EXHAUSTED, 11, 0, id="l+lk13-first"),
+        pytest.param(L_LK13, "canonical", EXHAUSTED, 11, 0, id="l+lk13-canonical"),
+        pytest.param(L_LK13, "all", EXHAUSTED, 17, 0, id="l+lk13-all"),
+        pytest.param(TWO_LK11_LK12, "first", WITNESS, 33, 1, id="2lk11+lk12-first"),
+        pytest.param(TWO_LK11_LK12, "canonical", WITNESS, 88, 1, id="2lk11+lk12-canonical"),
+        pytest.param(TWO_LK11_LK12, "all", WITNESS, 963, 12, id="2lk11+lk12-all"),
+        pytest.param(LK14_PAIR, "canonical", EXHAUSTED, 4_340, 0, id="lk14+lk14-canonical"),
     ])
     def test_looped_graphs_every_mode(self, graph, mode, outcome, nodes, witnesses):
         report = find_sem(graph, mode)
@@ -174,6 +182,44 @@ class TestSumWindow:
         for mode in ("first", "canonical", "all"):
             report = find_sem(g, mode)
             assert (report.outcome, report.nodes) == (EXHAUSTED, 0)
+
+
+# graphs of order 2..7 and size p-1..p+1 whose degrees are not all equal
+_IRREGULAR = st.integers(2, 7).flatmap(
+    lambda p: st.lists(st.sampled_from(all_possible_edges(p)), min_size=p - 1,
+                       max_size=p + 1, unique=True)
+    .map(lambda edges: Graph(p, frozenset(edges)))
+).filter(lambda g: len(set(_degrees(g)[1:])) > 1)
+
+
+class TestDegreeSumBound:
+    """The per-depth form of Σ deg(v)·f(v) = q·s + q(q-1)/2: once the first
+    t+1 positions are placed, with P = Σ deg·f over them and U the sum of
+    the labels left, q·s + q(q-1)/2 lies in [P + dmin[t+1]·U,
+    P + dmax[t+1]·U]."""
+
+    def test_tables(self):
+        deg = [0, 1, 3, 2, 3]
+        verts = _variable_order(deg, "first")
+        assert verts == [2, 4, 3, 1]
+        assert _degree_tables(deg, verts) == ([3, 3, 2, 1], [1, 1, 1, 1, 0], [3, 3, 2, 1, 0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_IRREGULAR)
+    def test_every_witness_prefix_meets_the_bound(self, g):
+        p, q = g.order, g.size
+        deg = _degrees(g)
+        verts = _variable_order(deg, "first")
+        dv, dmin, dmax = _degree_tables(deg, verts)
+        for labels in sem_bijections(g):
+            target = q * min(labels[u - 1] + labels[v - 1] for u, v in g.edges)
+            target += q * (q - 1) // 2
+            placed, unused = 0, p * (p + 1) // 2
+            for t, v in enumerate(verts):
+                placed += dv[t] * labels[v - 1]
+                unused -= labels[v - 1]
+                assert placed + dmin[t + 1] * unused <= target <= placed + dmax[t + 1] * unused
+            assert placed == target
 
 
 STARS = [star_with_loop(n) for n in range(1, 5)]
@@ -245,6 +291,15 @@ class TestCertify:
         certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND - 1))
         with pytest.raises(ResourceLimit):
             certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND))
+
+    def test_sweep_script(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "certify_sweep.py"
+        out = subprocess.run([sys.executable, str(script), "--max-order", "12"],
+                             capture_output=True, text=True, check=True).stdout
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [f"p={p}" for p in range(3, 13)]
+        assert not [line for line in lines if "witness" in line or "aborted" in line]
+        assert lines[-1].split()[2:4] == ["lk15+lk15", "9,325"]
 
 
 class TestEnumerateSnk:
@@ -423,6 +478,14 @@ class TestExplore:
             assert report.outcome in (WITNESS, EXHAUSTED)
             data = report_json(report)
             assert set(data) == {"outcome", "labels", "nodes", "ms"}
+
+    @pytest.mark.parametrize("s,n,nodes", [(3, 2, 21_751), (2, 4, 304_994)],
+                             ids=["6lk12", "4lk14"])
+    def test_even_copy_witnesses(self, s, n, nodes):
+        # 6 lk12 (order 18) and 4 lk14 (order 20) are SEM
+        report = explore_even_copies(s, n)
+        assert (report.outcome, report.nodes) == (WITNESS, nodes)
+        assert is_sem(disjoint_union([star_with_loop(n)] * (2 * s)), report.witness)[0]
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
