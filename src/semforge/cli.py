@@ -300,6 +300,10 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
         except (ValueError, OSError) as exc:
             raise click.UsageError(f"bad assignment file: {exc}")
     else:
+        if not 0 <= member < len(family.members):
+            raise click.UsageError(
+                f"--member {member} is outside the family, which has {len(family.members)} members"
+            )
         assignment = constant_assignment(host, member)
     if emit_what == "digraph":
         _emit(format_digraph(otimes_h(host, assignment, family)), out)

@@ -37,6 +37,7 @@ DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
 DEFAULT_CERTIFY_BOUND = 19  # scripts/certify_sweep.py
 SNK_ORDER_BOUND = 5
+DEFAULT_NODE_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class ResourceBudget:
     ``math.inf`` seconds sets no deadline; NaN is rejected, since no clock
     reading ever exceeds it."""
 
-    max_nodes: int = 10**9
+    max_nodes: int = DEFAULT_NODE_BUDGET
     max_seconds: float = 300.0
 
     def __post_init__(self):
@@ -140,7 +141,7 @@ def _sem_backtrack(
     verts: list,
     deg: list,
     mode: str,
-    budget: ResourceBudget,
+    max_nodes: int,
     deadline: float,
 ):
     """Depth-first search over bijections inside the anchored windows.
@@ -182,7 +183,9 @@ def _sem_backtrack(
     witness set is exact.
 
     Returns ``(status, witnesses, nodes)`` where status is
-    WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried.
+    WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried; the
+    search aborts at node ``max_nodes + 1`` or, read every 1024 nodes, once
+    the clock passes ``deadline``.
     """
     p, q = g.order, g.size
     starts = _sum_starts(deg, p, q)
@@ -211,11 +214,13 @@ def _sem_backtrack(
     seen = bytearray(2 * p + 3)
     witnesses: list[VertexLabeling] = []
     nodes = 0
-    max_nodes = budget.max_nodes
+    # the next node count to test: max_nodes + 1 aborts, and every multiple
+    # of 1024 reads the clock
+    check = min(max_nodes + 1, 1024)
     span = q - 1
 
     def extend(t: int, a: int, b: int, placed: int, unused: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, check
         if t == p:
             labels = [0] * p
             for v, lab in zip(verts, assigned):
@@ -230,19 +235,19 @@ def _sem_backtrack(
             if used[lab]:
                 continue
             nodes += 1
-            if nodes > max_nodes:
-                raise _Abort
-            if nodes & 1023 == 0 and time.monotonic() > deadline:
-                raise _Abort
+            if nodes >= check:
+                if nodes > max_nodes or time.monotonic() > deadline:
+                    raise _Abort
+                check = min(max_nodes + 1, (nodes | 1023) + 1)
             assigned[t] = lab
             na, nb = a, b
-            added = []
+            added = 0
             for spos in row:
                 s = lab + assigned[spos]
                 if seen[s]:
                     break
                 seen[s] = 1
-                added.append(s)
+                added += 1
                 if s - span > na:
                     na = s - span
                 if s < nb:
@@ -266,8 +271,9 @@ def _sem_backtrack(
                     if extend(t + 1, na, nb, pl, un):
                         return True
                     used[lab] = False
-            for s in added:
-                seen[s] = 0
+            while added:  # the sums of row[:added] were set
+                added -= 1
+                seen[lab + assigned[row[added]]] = 0
         return False
 
     try:
@@ -292,6 +298,20 @@ def _variable_order(deg: list, mode: str) -> list:
     return verts
 
 
+def _find_sem(g: Graph, nbhd: tuple, mode: str, max_nodes: int, deadline: float) -> tuple:
+    """``_sem_backtrack`` on g with its prebuilt ``_neighbourhoods`` in the
+    variable order of ``mode``, with every witness re-verified by ``is_sem``;
+    returns ``(status, witnesses, nodes)``."""
+    deg = _degrees(g, nbhd)
+    verts = _variable_order(deg, mode)
+    status, wits, nodes = _sem_backtrack(g, nbhd, verts, deg, mode, max_nodes, deadline)
+    for w in wits:
+        ok, _ = is_sem(g, w)
+        if not ok:
+            raise RuntimeError("searcher produced a witness rejected by is_sem")
+    return status, wits, nodes
+
+
 def find_sem(
     g: Graph,
     mode: str = "first",
@@ -314,16 +334,9 @@ def find_sem(
     budget = budget or ResourceBudget()
     _check_order_bound(g.order, mode)
     nbhd = _neighbourhoods(g)
-    deg = _degrees(g, nbhd)
-    verts = _variable_order(deg, mode)
     start = time.monotonic()
-    deadline = start + budget.max_seconds
-    status, wits, nodes = _sem_backtrack(g, nbhd, verts, deg, mode, budget, deadline)
+    status, wits, nodes = _find_sem(g, nbhd, mode, budget.max_nodes, start + budget.max_seconds)
     elapsed = time.monotonic() - start
-    for w in wits:
-        ok, _ = is_sem(g, w)
-        if not ok:
-            raise RuntimeError("searcher produced a witness rejected by is_sem")
     witness = wits[0] if wits else None
     return SearchReport(
         status,
@@ -431,15 +444,14 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
     return LabeledFamily(n, k, members)
 
 
-def _block_relabelings(p: int, pool: list, slot: dict, d: int) -> list:
-    """Slot maps of the relabelings of [1,p] that fix vertex 1 and permute
-    {2..d+1} and {d+2..p} each among themselves."""
-    maps = []
-    for low in itertools.permutations(range(2, d + 2)):
-        for high in itertools.permutations(range(d + 2, p + 1)):
-            f = (0, 1) + low + high
-            maps.append([slot[f[u], f[v]] for u, v in pool])
-    return maps
+def _block_relabelings(p: int, d: int) -> list:
+    """The relabelings of [1,p], as tuples f with f[0] = 0, that fix vertex 1
+    and permute {2..d+1} and {d+2..p} each among themselves."""
+    return [
+        (0, 1) + low + high
+        for low in itertools.permutations(range(2, d + 2))
+        for high in itertools.permutations(range(d + 2, p + 1))
+    ]
 
 
 def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> list:
@@ -452,14 +464,19 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     (1,1), the smallest pair, iff the class has a loop, and vertex 1's other
     neighbours are {2..k+1} (k >= 1 if loopless), since moving them there in
     order only shrinks the (1,x) prefix of the sorted edge list.
-    So the pass visits only subsets of that shape, and marks, one byte per
-    subset by lexicographic rank, only the relabelings that land on one:
-    those sending a centre c (a looped vertex, or any vertex with a neighbour
-    if the class is loopless) to 1 and its other neighbours onto
-    {2..d(c)+1}.  ``budget.max_nodes`` bounds the subsets visited;
-    ``budget.max_seconds`` the whole census, class searches included; an
-    aborted class search raises ``ResourceLimit``, and so does p > 8 (order 8
-    takes 13 s).
+    So the pass visits only subsets of that shape, and keeps one byte per
+    such subset: its shape's offset plus the rank of its tail (the edges
+    without vertex 1) among the tails of that shape.  It marks only the
+    relabelings that land on a shape: those sending a centre c (a looped
+    vertex, or any vertex with a neighbour if the class is loopless) to 1
+    and its other neighbours onto {2..d(c)+1}.  Each image is marked once
+    per automorphism orbit of centres and once per order of each twin class:
+    a centre whose first image is already marked lies in the orbit of an
+    earlier centre and has the same images, and swapping two twins (same
+    open neighbourhood and loop flag) fixes the image.
+    ``budget.max_nodes`` bounds the subsets visited; ``budget.max_seconds``
+    the whole census, class searches included; an aborted class search
+    raises ``ResourceLimit``, and so does p > 8 (order 8 takes 7 s).
     """
     if p > 8:
         raise ResourceLimit("census bound is order <= 8")
@@ -470,20 +487,53 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     pool = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
     slot = {e: i for i, (u, v) in enumerate(pool) for e in ((u, v), (v, u))}
     n = len(pool)
-    last = math.comb(n, p) - 1  # slots c_0 < c_1 < ... have rank last - Σ_i C(n-1-c_i, p-i)
-    weights = [[math.comb(n - 1 - c, p - i) for c in range(n)] for i in range(p)]
-    marks = bytearray(last + 1)
-    blocks: dict = {}
+    # shape (looped, k): head slots (1,1)?,(1,2),...,(1,k+1), a tail of the
+    # r = p - |head| other slots from ``tails``, and C(m, r) bytes of the
+    # table from ``offset`` to ``last``; slot i < p is (1, i+1), so a tail's
+    # slots (u >= 2) follow its head's
+    shapes: dict = {}
+    size = 0
+    for looped in (True, False):
+        tails = [i for i in range(p, n) if looped or pool[i][0] != pool[i][1]]
+        m = len(tails)
+        for k in range(p - 1, -1 if looped else 0, -1):
+            head = range(0 if looped else 1, k + 1)
+            r = p - len(head)
+            # tail positions x_0 < x_1 < ... have rank C(m, r) - 1 - Σ_i C(m-1-x_i, r-i);
+            # weights[i] gives that term for each slot of ``tails``
+            weights = [[0] * n for _ in range(r)]
+            for i, w in enumerate(weights):
+                for x, t in enumerate(tails):
+                    w[t] = math.comb(m - 1 - x, r - i)
+            count = math.comb(m, r)
+            shapes[looped, k] = head, tails, size, size + count - 1, weights
+            size += count
+    marks = bytearray(size)
+    blocks: dict = {}  # d -> (_block_relabelings(p, d), their slot maps)
+    ascending: dict = {}  # (d, i, j) -> indices into blocks[d] of the f with f[i] < f[j]
 
-    def shape(looped: bool, k: int):
-        """Head slots (1,1)?,(1,2),...,(1,k+1), the rank less their share,
-        and the rank weights left for the tail."""
-        head = range(0 if looped else 1, k + 1)
-        return head, last - sum(map(list.__getitem__, weights, head)), weights[len(head):]
+    def relabelings(d: int, pairs: list):
+        """Slot maps of the block relabelings of centre degree d that keep
+        f[i] < f[j] for every (i, j) in pairs."""
+        if d not in blocks:
+            fs = _block_relabelings(p, d)
+            blocks[d] = fs, [[slot[f[u], f[v]] for u, v in pool] for f in fs]
+        fs, maps = blocks[d]
+        if not pairs:
+            return maps
+        keep = None
+        for i, j in pairs:
+            if (d, i, j) not in ascending:
+                ascending[d, i, j] = frozenset(x for x, f in enumerate(fs) if f[i] < f[j])
+            keep = ascending[d, i, j] if keep is None else keep & ascending[d, i, j]
+        return [maps[x] for x in keep]
 
-    def mark(g: Graph, looped: bool) -> None:
+    def mark(g: Graph, nbhd: tuple, looped: bool) -> None:
         """Mark each image of the class that has the shape of a visited subset."""
-        nbrs, loop = _neighbourhoods(g)
+        nbrs, loop = nbhd
+        twins: dict = {}
+        for v in range(1, p + 1):
+            twins.setdefault((frozenset(nbrs[v]), loop[v]), []).append(v)
         for c in range(1, p + 1):
             if not (loop[c] if looped else nbrs[c]):
                 continue
@@ -495,36 +545,39 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             for i, v in enumerate([c, *sorted(nbrs[c]), *sorted(rest)], 1):
                 lab[v] = i
             tail = [slot[lab[u], lab[v]] for u, v in g.edges if c != u and c != v]
-            _, base, tail_weights = shape(looped, d)
-            if d not in blocks:
-                blocks[d] = _block_relabelings(p, pool, slot, d)
-            for f in blocks[d]:
+            last, weights = shapes[looped, d][3:]
+            if marks[last - sum(map(list.__getitem__, weights, sorted(tail)))]:
+                continue  # an earlier centre of c's orbit marked these images
+            # twins other than c lie in one block and take ascending labels
+            pairs = [
+                (lab[u], lab[w])
+                for cls in twins.values()
+                for u, w in itertools.pairwise([v for v in cls if v != c])
+            ]
+            for f in relabelings(d, pairs):
                 image = sorted(map(f.__getitem__, tail))
-                marks[base - sum(map(list.__getitem__, tail_weights, image))] = 1
+                marks[last - sum(map(list.__getitem__, weights, image))] = 1
 
     entries = []
     visited = 0
-    # slot i < p is (1, i+1); a tail takes its slots from those with u >= 2,
-    # which come after every head slot, so the subsets come in rank order
     for looped in (True, False):
-        tails = [i for i in range(p, n) if looped or pool[i][0] != pool[i][1]]
         for k in range(p - 1, -1 if looped else 0, -1):
-            head, base, tail_weights = shape(looped, k)
-            for tail in itertools.combinations(tails, p - len(head)):
+            head, tails, offset, _, _ = shapes[looped, k]
+            for i, tail in enumerate(itertools.combinations(tails, p - len(head)), offset):
                 if visited >= budget.max_nodes:
                     raise ResourceLimit("census node budget exhausted")
                 if visited & 1023 == 1023 and time.monotonic() > deadline:
                     raise ResourceLimit("census wall-clock budget exhausted")
                 visited += 1
-                if marks[base - sum(map(list.__getitem__, tail_weights, tail))]:
+                if marks[i]:
                     continue
-                g = Graph(p, frozenset(pool[i] for i in itertools.chain(head, tail)))
-                mark(g, looped)
-                left = ResourceBudget(max_seconds=max(0.0, deadline - time.monotonic()))
-                report = find_sem(g, "first", left)
-                if report.outcome == ABORTED:
+                g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
+                nbhd = _neighbourhoods(g)
+                mark(g, nbhd, looped)
+                status, _, _ = _find_sem(g, nbhd, "first", DEFAULT_NODE_BUDGET, deadline)
+                if status == ABORTED:
                     raise ResourceLimit("census search of a class aborted")
-                entries.append((g, report.outcome == WITNESS))
+                entries.append((g, status == WITNESS))
     return entries
 
 

@@ -550,12 +550,12 @@ class TestCensusCommand:
         assert {line["sem"] for line in lines} == {True, False}
 
     def test_aborted_class_search_exits_three(self, runner, monkeypatch):
-        from semforge.search import ABORTED, SearchReport
+        from semforge.search import ABORTED
 
-        def aborted(g, mode="first", budget=None, **kwargs):
-            return SearchReport(ABORTED, None, None, 1, 0.0, budget)
+        def aborted(g, nbhd, mode, max_nodes, deadline):
+            return ABORTED, [], 1
 
-        monkeypatch.setattr("semforge.search.find_sem", aborted)
+        monkeypatch.setattr("semforge.search._find_sem", aborted)
         result = runner.invoke(main, ["census", "--order", "2"])
         assert result.exit_code == 3
         assert '"sem"' not in result.output
@@ -761,6 +761,13 @@ class TestExitCodeContract:
              3, "family enumeration bound is n <= 5"),
         _row("product-snk-one-integer", ["product", *_STAR_ARGS, "--snk", "2"],
              {"star.txt": _STAR}, 2, "Error: --snk must be two integers N,K, got '2'"),
+        # no assignment file: --member names the member of every arc
+        _row("product-member-past-family",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--member", "5"], {"star.txt": _STAR},
+             2, "Error: --member 5 is outside the family, which has 2 members"),
+        _row("product-member-negative",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--member", "-1"], {"star.txt": _STAR},
+             2, "Error: --member -1 is outside the family, which has 2 members"),
         _row("census-order-0", ["census", "--order", "0"], {},
              2, "Error: census supports 1 <= p <= 8, got 0"),
         _row("census-order-9", ["census", "--order", "9"], {}, 3, "census bound is order <= 8"),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -27,7 +29,6 @@ from semforge.search import (
     EXHAUSTED,
     WITNESS,
     ResourceBudget,
-    SearchReport,
     _degree_tables,
     _degrees,
     _sum_starts,
@@ -42,7 +43,7 @@ from semforge.search import (
     report_json,
     sem_bijections,
 )
-from semforge.graphs import indegree_one_orientation, underlying
+from semforge.graphs import _neighbourhoods, indegree_one_orientation, underlying
 
 from conftest import (
     all_possible_edges,
@@ -459,16 +460,39 @@ class TestCensus:
 
     def test_aborted_class_search_is_a_limit(self, monkeypatch):
         # an aborted search is no verdict: it must not be recorded as "not SEM"
-        budgets = []
+        deadlines = []
 
-        def aborted(g, mode="first", budget=None, **kwargs):
-            budgets.append(budget)
-            return SearchReport(ABORTED, None, None, 1, 0.0, budget)
+        def aborted(g, nbhd, mode, max_nodes, deadline):
+            deadlines.append(deadline)
+            return ABORTED, [], 1
 
-        monkeypatch.setattr("semforge.search.find_sem", aborted)
+        monkeypatch.setattr("semforge.search._find_sem", aborted)
         with pytest.raises(ResourceLimit):
             census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
-        assert len(budgets) == 1 and budgets[0].max_seconds <= 50.0
+        assert len(deadlines) == 1 and deadlines[0] <= time.monotonic() + 50.0
+
+    def test_one_neighbourhood_build_per_class(self, monkeypatch):
+        # marking and searching a class share one _neighbourhoods(g)
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return _neighbourhoods(g)
+
+        monkeypatch.setattr("semforge.search._neighbourhoods", counted)
+        entries = census_equal_order_size(4)
+        assert [g for g, _ in entries] == built
+
+    def test_order_seven_digest(self):
+        # SHA-256 of `census --order 7` as the CLI prints it
+        text = "".join(
+            json.dumps({"p": g.order, "edges": [list(e) for e in g.sorted_edges], "sem": sem})
+            + "\n"
+            for g, sem in _census(7)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5acc0613857f2b9e0c14a746167f76e5fa213f9142f9c55cfb5d11959b66f361"
+        )
 
 
 class TestExplore:
