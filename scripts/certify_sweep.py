@@ -1,6 +1,6 @@
 """Exhaust the loop-star unions of each order and print the worst case.
 
-    python scripts/certify_sweep.py --min-order 16 --max-order 19
+    python scripts/certify_sweep.py --min-order 16 --max-order 24
 
 For each order p the sweep searches every split lk1m+lk1n with m+n+2 = p
 and 1 <= m <= n, plus l+lk1n and 2l+lk1n of order p, each under a cap of
@@ -10,7 +10,8 @@ and 1 <= m <= n, plus l+lk1n and 2l+lk1n of order p, each under a cap of
 the instance that took the most nodes, its node count and CPU seconds, and
 how many instances were exhausted, had a witness or aborted.
 ``DEFAULT_CERTIFY_BOUND`` is the largest order whose worst case takes at
-most 10 CPU seconds.
+most 10 CPU seconds, capped at the first-mode order bound of ``find_sem``
+(24), which is also the default ``--max-order``.
 
 Run it from the root of a source checkout; it imports ``semforge`` from
 ``src/``.
@@ -46,7 +47,7 @@ def instances(p: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--min-order", type=int, default=3)
-    parser.add_argument("--max-order", type=int, default=19)
+    parser.add_argument("--max-order", type=int, default=24)
     args = parser.parse_args(argv)
     if args.min_order < 3:
         parser.error("the smallest union in the sweep, l+lk11, has order 3")

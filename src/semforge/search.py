@@ -6,9 +6,11 @@ The SEM search (``_sem_backtrack``) is one core behind ``find_sem``,
 the consecutive-sums identity confines the minimum sum s to a short range,
 and a partial labeling dies as soon as its sums fit no window [s, s+q-1]
 with s in that range.  The same identity, bounded by the degrees of the
-vertices still unplaced, narrows that range again at every depth.  Outside
-``all`` mode the search also breaks the symmetry of twin vertices and of the
-complement labeling.
+vertices still unplaced, narrows that range again at every depth.  Once the
+range is a single s, every sum of the window not yet made needs an edge still
+open that can make it, or the partial labeling dies.  Outside ``all`` mode
+the search also breaks the symmetry of twin vertices and of the complement
+labeling.
 
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -35,7 +38,7 @@ ABORTED = "aborted"
 
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
-DEFAULT_CERTIFY_BOUND = 19  # scripts/certify_sweep.py
+DEFAULT_CERTIFY_BOUND = 24  # scripts/certify_sweep.py; the first-mode bound caps it
 SNK_ORDER_BOUND = 5
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -116,9 +119,10 @@ def _sum_starts(deg: list, p: int, q: int) -> range:
     """
     if q == 0:
         return range(2, 3)
-    ds = sorted(deg[1:], reverse=True)
-    low = sum(d * lab for lab, d in enumerate(ds, 1))
-    high = sum(d * lab for lab, d in enumerate(reversed(ds), 1))
+    ds = sorted(deg[1:])
+    labels = range(1, p + 1)
+    low = sum(map(operator.mul, ds, reversed(labels)))
+    high = sum(map(operator.mul, ds, labels))
     base = q * (q - 1) // 2
     return range(max(2, -((base - low) // q)), min(2 * p - q + 1, (high - base) // q) + 1)
 
@@ -129,10 +133,43 @@ def _degree_tables(deg: list, verts: list) -> tuple:
     ``dmin[p] = dmax[p] = 0``, since no position is left."""
     dv = [deg[v] for v in verts]
     dmin, dmax = dv + [0], dv + [0]
+    lo = hi = dv[-1]
     for t in range(len(dv) - 2, -1, -1):
-        dmin[t] = min(dmin[t], dmin[t + 1])
-        dmax[t] = max(dmax[t], dmax[t + 1])
+        d = dv[t]
+        if d < lo:
+            lo = d
+        if d > hi:
+            hi = d
+        dmin[t], dmax[t] = lo, hi
     return dv, dmin, dmax
+
+
+def _order_tables(nbhd: tuple, verts: list) -> tuple:
+    """The tables of the static variable order ``verts``.
+
+    ``rows[t]`` lists the partners of search position t: t itself if its
+    vertex has a loop, then the earlier positions it shares an edge with.
+    ``front[t]`` lists the positions u <= t whose last neighbour lies after
+    t, in ascending order.  After position t is placed, an edge with both
+    ends unplaced and distinct exists iff t < ``pair_until``, and an
+    unplaced loop iff t < ``loop_until``.
+    """
+    nbrs, loop = nbhd
+    pos = {v: t for t, v in enumerate(verts)}
+    rows, front = [], [[] for _ in verts]
+    pair_until = loop_until = 0
+    for t, v in enumerate(verts):
+        partners = [pos[u] for u in nbrs[v]]
+        row = [u for u in partners if u < t]
+        if len(row) < len(partners):  # a partner after t
+            pair_until = t
+            for d in range(t, max(partners)):
+                front[d].append(t)
+        if loop[v]:
+            row.insert(0, t)
+            loop_until = t
+        rows.append(row)
+    return rows, front, pair_until, loop_until
 
 
 def _sem_backtrack(
@@ -146,16 +183,15 @@ def _sem_backtrack(
 ):
     """Depth-first search over bijections inside the anchored windows.
 
-    Labels are placed on ``verts`` in order.  Each search position has a row
-    of partners: itself first if its vertex has a loop, then the earlier
-    positions it shares an edge with.  A label is stored before its row is
-    read, so a loop's sum 2·f(u) is checked like every other closed edge's
-    sum.  The search carries the range [a, b] of minimum sums s whose window
-    [s, s+q-1] can still hold every closed edge's sum: it starts as
-    ``_sum_starts``, each new sum x narrows it to [max(a, x-q+1), min(b, x)],
-    and a partial assignment dies as soon as the range empties or a sum
-    repeats.  One pass thus covers every window and visits each partial
-    assignment once, however many windows it fits.
+    Labels are placed on ``verts`` in order, with the ``_order_tables`` of
+    that order.  A label is stored before its row is read, so a loop's sum
+    2·f(u) is checked like every other closed edge's sum.  The search
+    carries the range [a, b] of minimum sums s whose window [s, s+q-1] can
+    still hold every closed edge's sum: it starts as ``_sum_starts``, each
+    new sum x narrows it to [max(a, x-q+1), min(b, x)], and a partial
+    assignment dies as soon as the range empties or a sum repeats.  One pass
+    thus covers every window and visits each partial assignment once,
+    however many windows it fits.
 
     Every depth also applies the consecutive-sums identity
     Σ deg(v)·f(v) = q·s + q(q-1)/2 to the vertices left.  The search carries
@@ -164,43 +200,57 @@ def _sem_backtrack(
     degree between ``dmin[t+1]`` and ``dmax[t+1]`` (``_degree_tables``), so
     q·s + q(q-1)/2 lies in [P + dmin[t+1]·U, P + dmax[t+1]·U] once position
     t is placed.  That interval narrows [a, b] after a label passes its row,
-    and the label dies when the range empties.  The condition is necessary,
-    so it only removes subtrees without a witness and holds in every mode.
-    It cannot cut when all degrees are equal (Σ deg·f is then the same for
-    every bijection), nor without edges, so it is skipped there.
+    and the label dies when the range empties.  It cannot cut when all
+    degrees are equal (Σ deg·f is then the same for every bijection), nor
+    without edges, so it is skipped there.
 
-    In ``first`` and ``canonical`` mode two symmetry-breaking cuts apply
-    (Crawford, Ginsberg, Luks & Roy, 1996): each vertex takes a label above
-    that of its previous twin, and the first search position takes a label
-    of at most ⌈p/2⌉, since the complement x ↦ p+1-x preserves SEM.  Twins
-    are vertices with the same open neighbourhood and the same loop flag;
+    Once the range is one start s, every sum of [s, s+q-1] not yet made
+    must be made by an edge that is still open, one with an end after t.
+    Such an edge joins a placed position u of ``front[t]`` to an unplaced
+    one, with sum f(u) + y; or two distinct unplaced positions, with sum
+    y + z for distinct y and z (t < ``pair_until``); or it is a loop at an
+    unplaced position, with sum 2y (t < ``loop_until``); here y and z are
+    unused labels.  A sum with no such support kills the label.  The sums
+    made, the unused labels and their mirror (bit R-y for unused y, with
+    R = 2p+2, carried while t < ``pair_until``) are int bitmasks, so the
+    supports of a frontier position are one shift, and x has a pair support
+    iff the labels z with z and x-z unused, ``rest & (mirror >> (R-x))``,
+    are at least two (one alone would be x/2).  For a regular graph
+    ``_sum_starts`` often fixes s at the root, and the rule then applies at
+    every depth.
+
+    Both rules are necessary conditions, so they only remove subtrees
+    without a witness and hold in every mode.  In ``first`` and
+    ``canonical`` mode two symmetry-breaking cuts apply too (Crawford,
+    Ginsberg, Luks & Roy, 1996): each vertex takes a label above that of its
+    previous twin, and the first search position takes a label of at most
+    ⌈p/2⌉, since the complement x ↦ p+1-x preserves SEM.  Twins are
+    vertices with the same open neighbourhood and the same loop flag;
     swapping two of them is an automorphism, and they have equal degree, so
     both variable orders place them in index order.  Both cuts are sound for
     existence, and for ``canonical`` too: the lexicographically smallest
     labeling is ascending on twins and starts at most at ⌈p/2⌉ (else its
     complement would be smaller), so it is still the first witness of the
-    index-order search.  ``all`` mode applies the window alone, so its
+    index-order search.  ``all`` mode applies no symmetry cut, so its
     witness set is exact.
 
     Returns ``(status, witnesses, nodes)`` where status is
-    WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried; the
-    search aborts at node ``max_nodes + 1`` or, read every 1024 nodes, once
-    the clock passes ``deadline``.
+    WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried, a label
+    that the support rule kills included; the search aborts at node
+    ``max_nodes + 1`` or, read every 1024 nodes, once the clock passes
+    ``deadline``.
     """
     p, q = g.order, g.size
     starts = _sum_starts(deg, p, q)
     if not starts:
         return EXHAUSTED, [], 0
-    nbrs, loop = nbhd
-    pos = {v: t for t, v in enumerate(verts)}
-    rows = [
-        ([t] if loop[v] else []) + [pos[u] for u in nbrs[v] if pos[u] < t]
-        for t, v in enumerate(verts)
-    ]
+    rows, front, pair_until, loop_until = _order_tables(nbhd, verts)
     collect_all = mode == "all"
-    first_stop = p + 1 if collect_all else (p + 1) // 2 + 1
+    label_bits = (2 << p) - 2  # bit y for each label y in 1..p
+    first_top = label_bits if collect_all else (2 << (p + 1) // 2) - 2  # 1..⌈p/2⌉
     twin_prev = [-1] * p
     if not collect_all:
+        nbrs, loop = nbhd
         last: dict = {}
         for t, v in enumerate(verts):
             key = (frozenset(nbrs[v]), loop[v])
@@ -209,9 +259,9 @@ def _sem_backtrack(
     dv, dmin, dmax = _degree_tables(deg, verts)
     degree_bound = q > 0 and dmin[0] != dmax[0]  # a regular graph always meets it
     base = q * (q - 1) // 2
+    window = (1 << q) - 1
+    mirror_top = 2 * p + 2
     assigned = [0] * p
-    used = [False] * (p + 1)
-    seen = bytearray(2 * p + 3)
     witnesses: list[VertexLabeling] = []
     nodes = 0
     # the next node count to test: max_nodes + 1 aborts, and every multiple
@@ -219,7 +269,8 @@ def _sem_backtrack(
     check = min(max_nodes + 1, 1024)
     span = q - 1
 
-    def extend(t: int, a: int, b: int, placed: int, unused: int) -> bool:
+    def extend(t: int, a: int, b: int, placed: int, unused: int, sums: int, free: int,
+               mirror: int) -> bool:
         nonlocal nodes, check
         if t == p:
             labels = [0] * p
@@ -227,13 +278,21 @@ def _sem_backtrack(
                 labels[v - 1] = lab
             witnesses.append(VertexLabeling(tuple(labels)))
             return not collect_all
-        row = rows[t]
+        row, fr = rows[t], front[t]
+        pairs, loops = t < pair_until, t < loop_until
         twin = twin_prev[t]
-        start = assigned[twin] + 1 if twin >= 0 else 1
         d, lo, hi = dv[t], dmin[t + 1], dmax[t + 1]
-        for lab in range(start, first_stop if t == 0 else p + 1):
-            if used[lab]:
-                continue
+        if t == 0:
+            labs = free & first_top
+        elif twin >= 0:
+            above = assigned[twin] + 1
+            labs = free >> above << above
+        else:
+            labs = free
+        while labs:
+            bit = labs & -labs
+            labs ^= bit
+            lab = bit.bit_length() - 1
             nodes += 1
             if nodes >= check:
                 if nodes > max_nodes or time.monotonic() > deadline:
@@ -241,13 +300,12 @@ def _sem_backtrack(
                 check = min(max_nodes + 1, (nodes | 1023) + 1)
             assigned[t] = lab
             na, nb = a, b
-            added = 0
+            made = sums
             for spos in row:
                 s = lab + assigned[spos]
-                if seen[s]:
+                if made >> s & 1:
                     break
-                seen[s] = 1
-                added += 1
+                made |= 1 << s
                 if s - span > na:
                     na = s - span
                 if s < nb:
@@ -266,18 +324,36 @@ def _sem_backtrack(
                         nb = most
                 else:
                     pl = un = 0
-                if na <= nb:
-                    used[lab] = True
-                    if extend(t + 1, na, nb, pl, un):
-                        return True
-                    used[lab] = False
-            while added:  # the sums of row[:added] were set
-                added -= 1
-                seen[lab + assigned[row[added]]] = 0
+                if na > nb:
+                    continue
+                rest = free ^ bit
+                mir = mirror ^ (1 << mirror_top - lab) if pairs else 0  # read while pairs are open
+                if na == nb:
+                    # every unmade sum of the window needs an open edge
+                    need = window << na & ~made
+                    for u in fr:
+                        need &= ~(rest << assigned[u])
+                    if need and (pairs or loops):
+                        left = need
+                        while left:
+                            low = left & -left
+                            left ^= low
+                            x = low.bit_length() - 1
+                            if pairs:
+                                both = rest & mir >> mirror_top - x
+                                if both & both - 1:
+                                    need ^= low
+                                    continue
+                            if loops and not x & 1 and rest >> (x >> 1) & 1:
+                                need ^= low
+                    if need:
+                        continue
+                if extend(t + 1, na, nb, pl, un, made, rest, mir):
+                    return True
         return False
 
     try:
-        extend(0, starts[0], starts[-1], 0, p * (p + 1) // 2)
+        extend(0, starts[0], starts[-1], 0, p * (p + 1) // 2, 0, label_bits, label_bits << p + 1)
     except _Abort:
         return ABORTED, witnesses, nodes
     return (WITNESS if witnesses else EXHAUSTED), witnesses, nodes

@@ -116,6 +116,57 @@ def polya_class_count(p: int) -> int:
     return total // math.factorial(p)
 
 
+def reference_two_star_sem(leaves) -> bool:
+    """Whether the union of ``star_with_loop(n)`` over n in ``leaves`` is SEM,
+    decided without search; at most two entries may be nonzero (a 0 is a
+    bare loop).
+
+    Let centre i carry n_i leaves and label c_i.  Its loop has sum 2c_i and
+    each leaf y the sum y + c_i; a leaf has degree 1 and a centre n_i + 2,
+    so the consecutive-sums identity Σ deg·f = p·s + p(p-1)/2 reads
+    Σ_i (n_i+1)·c_i = p·(s-1), which fixes s.  The loop sums must lie in the
+    window W = [s, s+p-1]; the other labels must then go to the leaves so
+    that the sums y + c_i are the rest of W, with n_i leaves at centre i.
+
+    Forced-matching lemma: with one leaf-bearing centre, label a, each label
+    y has the one sum y + a.  With two, labels a < b, take the unused labels
+    in ascending order.  If y + a is a sum still open, y must take it: the
+    only other label that can make y + a is y + a - b < y, which was placed
+    before and did not take it.  Otherwise y must take y + b.  So for each
+    choice of centre labels the assignment of the leaves is unique, if any,
+    and the leaf counts per centre are compared with the n_i.  No search and
+    no code of ``semforge.search`` is involved.
+    """
+    leaves = list(leaves)
+    bearing = [i for i, n in enumerate(leaves) if n]
+    if len(bearing) > 2:
+        raise ValueError(f"at most two centres may have leaves, got {leaves}")
+    p = sum(n + 1 for n in leaves)
+    for centres in permutations(range(1, p + 1), len(leaves)):
+        total = sum((n + 1) * c for n, c in zip(leaves, centres))
+        if total % p:
+            continue
+        s = total // p + 1
+        window = set(range(s, s + p))
+        if not {2 * c for c in centres} <= window:
+            continue
+        open_sums = window - {2 * c for c in centres}
+        by_centre = sorted((centres[i], leaves[i]) for i in bearing)
+        counts = {c: 0 for c, _ in by_centre}
+        for y in sorted(set(range(1, p + 1)) - set(centres)):
+            for c, _ in by_centre:
+                if y + c in open_sums:
+                    open_sums.remove(y + c)
+                    counts[c] += 1
+                    break
+            else:
+                break
+        else:
+            if all(counts[c] == n for c, n in by_centre):
+                return True
+    return False
+
+
 def reference_parse_edge_list(text: str):
     """Naive edge-list parser: ``(directed, p, pairs)`` or ``ValueError``.
 

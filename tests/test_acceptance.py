@@ -53,7 +53,7 @@ from semforge.search import (
     find_sem,
 )
 
-from conftest import random_equal_order_size_graph
+from conftest import random_equal_order_size_graph, reference_two_star_sem
 
 
 def _finish(num, description, failures, elapsed=None, limit=None):
@@ -125,27 +125,22 @@ def test_criterion_2_pinned_instances():
 def test_criterion_3_nonexistence_certificates():
     start = time.monotonic()
     failures = []
-    instances = []
-    for m in range(1, 13):
-        for n in range(1, 13):
-            if m + n + 2 <= 14:
-                instances.append(
-                    (f"lk1{m}+lk1{n}",
-                     disjoint_union([star_with_loop(m), star_with_loop(n)]))
-                )
-    for n in range(1, 13):
-        instances.append(
-            (f"l+lk1{n}", disjoint_union([loop_graph(), star_with_loop(n)]))
-        )
-    for n in range(1, 12):
-        instances.append(
-            (f"2l+lk1{n}",
-             disjoint_union([loop_graph(), loop_graph(), star_with_loop(n)]))
-        )
-    for tag, g in instances:
+    instances = []  # (tag, leaf counts of the loop-stars)
+    for m in range(1, 23):
+        for n in range(1, 23):
+            if m + n + 2 <= 24:
+                instances.append((f"lk1{m}+lk1{n}", [m, n]))
+    for n in range(1, 23):
+        instances.append((f"l+lk1{n}", [0, n]))
+    for n in range(1, 22):
+        instances.append((f"2l+lk1{n}", [0, 0, n]))
+    for tag, leaves in instances:
+        g = disjoint_union([star_with_loop(n) for n in leaves])
         report = certify_not_sem(g)
         if report.outcome != EXHAUSTED:
             failures.append(f"{tag}: {report.outcome}")
+        if reference_two_star_sem(leaves):
+            failures.append(f"{tag}: the forced-matching oracle finds a SEM labeling")
         if g.order <= 8:
             count, _ = exhaustive_sem_search(g)
             if count != 0:
@@ -153,8 +148,8 @@ def test_criterion_3_nonexistence_certificates():
     elapsed = time.monotonic() - start
     _finish(
         3,
-        f"{len(instances)} non-existence instances exhausted "
-        "(order <= 8 re-checked unpruned)",
+        f"{len(instances)} non-existence instances of order <= 24 exhausted "
+        "(each re-checked by the forced-matching oracle, order <= 8 also unpruned)",
         failures,
         elapsed,
         60.0,

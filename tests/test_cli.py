@@ -726,8 +726,8 @@ class TestExitCodeContract:
              {"g.txt": format_graph(star_with_loop(24))},
              3, "order 25 exceeds the first-mode bound 24"),
         _row("certify-order-bound", ["certify", "--graph", "g.txt"],
-             {"g.txt": format_graph(star_with_loop(19))},
-             3, "order 20 exceeds the certification bound 19"),
+             {"g.txt": format_graph(star_with_loop(24))},
+             3, "order 25 exceeds the certification bound 24"),
         _row("explore-needs-params", ["explore", "--params", "s=1"], {},
              2, "Error: explore needs --params s=..,n=.."),
         _row("explore-bad-copies", ["explore", "--params", "s=0,n=1"], {},

@@ -9,7 +9,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semforge.errors import ResourceLimit
@@ -31,6 +31,7 @@ from semforge.search import (
     ResourceBudget,
     _degree_tables,
     _degrees,
+    _order_tables,
     _sum_starts,
     _variable_order,
     census_equal_order_size,
@@ -50,6 +51,7 @@ from conftest import (
     brute_force_automorphism_count,
     polya_class_count,
     random_equal_order_size_graph,
+    reference_two_star_sem,
 )
 
 TWO_STARS = disjoint_union([star_with_loop(1), star_with_loop(1)])
@@ -115,24 +117,25 @@ class TestNodeCounts:
 
     LK14_PAIR = disjoint_union([star_with_loop(4), star_with_loop(4)])
     LK15_PAIR = disjoint_union([star_with_loop(5), star_with_loop(5)])
+    EIGHT_LK11 = disjoint_union([star_with_loop(1)] * 8)
 
     def test_lk14_pair_exhausted(self):
         report = find_sem(self.LK14_PAIR, "first")
-        assert (report.outcome, report.nodes) == (EXHAUSTED, 1_494)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 41)
 
     def test_node_budget_bounds_whole_search(self):
-        # the whole search takes 9,325 nodes (test_lk15_pair_certified)
-        report = find_sem(self.LK15_PAIR, "first", ResourceBudget(max_nodes=5_000))
+        # 8 lk11 is not SEM, and its whole search takes 1,126,662 nodes
+        report = find_sem(self.EIGHT_LK11, "first", ResourceBudget(max_nodes=5_000))
         assert (report.outcome, report.nodes) == (ABORTED, 5_001)
 
-    @pytest.mark.parametrize("k,nodes", [(21, 33_723), (23, 27_247)])
+    @pytest.mark.parametrize("k,nodes", [(21, 87), (23, 83)], ids=["C21", "C23"])
     def test_odd_cycle_first_witness(self, k, nodes):
         report = find_sem(cycle_graph(k), "first")
         assert (report.outcome, report.nodes) == (WITNESS, nodes)
 
     def test_lk15_pair_certified(self):
         report = certify_not_sem(self.LK15_PAIR)
-        assert (report.outcome, report.nodes) == (EXHAUSTED, 9_325)
+        assert (report.outcome, report.nodes) == (EXHAUSTED, 61)
 
     # looped graphs in the index-order modes too, where a looped vertex is
     # not necessarily placed first
@@ -144,9 +147,9 @@ class TestNodeCounts:
         pytest.param(L_LK13, "canonical", EXHAUSTED, 11, 0, id="l+lk13-canonical"),
         pytest.param(L_LK13, "all", EXHAUSTED, 17, 0, id="l+lk13-all"),
         pytest.param(TWO_LK11_LK12, "first", WITNESS, 33, 1, id="2lk11+lk12-first"),
-        pytest.param(TWO_LK11_LK12, "canonical", WITNESS, 88, 1, id="2lk11+lk12-canonical"),
-        pytest.param(TWO_LK11_LK12, "all", WITNESS, 963, 12, id="2lk11+lk12-all"),
-        pytest.param(LK14_PAIR, "canonical", EXHAUSTED, 4_340, 0, id="lk14+lk14-canonical"),
+        pytest.param(TWO_LK11_LK12, "canonical", WITNESS, 41, 1, id="2lk11+lk12-canonical"),
+        pytest.param(TWO_LK11_LK12, "all", WITNESS, 647, 12, id="2lk11+lk12-all"),
+        pytest.param(LK14_PAIR, "canonical", EXHAUSTED, 2_990, 0, id="lk14+lk14-canonical"),
     ])
     def test_looped_graphs_every_mode(self, graph, mode, outcome, nodes, witnesses):
         report = find_sem(graph, mode)
@@ -185,12 +188,13 @@ class TestSumWindow:
             assert (report.outcome, report.nodes) == (EXHAUSTED, 0)
 
 
-# graphs of order 2..7 and size p-1..p+1 whose degrees are not all equal
-_IRREGULAR = st.integers(2, 7).flatmap(
+# graphs of order 2..7 and size p-1..p+1, and those whose degrees are not all equal
+_SMALL = st.integers(2, 7).flatmap(
     lambda p: st.lists(st.sampled_from(all_possible_edges(p)), min_size=p - 1,
                        max_size=p + 1, unique=True)
     .map(lambda edges: Graph(p, frozenset(edges)))
-).filter(lambda g: len(set(_degrees(g)[1:])) > 1)
+)
+_IRREGULAR = _SMALL.filter(lambda g: len(set(_degrees(g)[1:])) > 1)
 
 
 class TestDegreeSumBound:
@@ -221,6 +225,43 @@ class TestDegreeSumBound:
                 unused -= labels[v - 1]
                 assert placed + dmin[t + 1] * unused <= target <= placed + dmax[t + 1] * unused
             assert placed == target
+
+
+class TestSupport:
+    """Once the first t+1 positions are placed and the window [s, s+q-1] is
+    fixed, every sum of it not yet made has a support among the open edges:
+    f(u) + y for u in ``front[t]``, y + z for distinct y and z if
+    t < ``pair_until``, 2y if t < ``loop_until``, y and z unused."""
+
+    def test_tables(self):
+        # C4 in index order: 1-2-3-4-1
+        assert _order_tables(_neighbourhoods(cycle_graph(4)), [1, 2, 3, 4]) == (
+            [[], [0], [1], [0, 2]], [[0], [0, 1], [0, 2], []], 2, 0)
+        # l+lk11: loops at positions 0 and 1, the edge (2,3) open after position 0
+        g = disjoint_union([loop_graph(), star_with_loop(1)])
+        assert _order_tables(_neighbourhoods(g), [1, 2, 3]) == ([[0], [1], [1]], [[], [1], []], 1, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SMALL)
+    def test_every_witness_prefix_has_supports(self, g):
+        p, q = g.order, g.size
+        nbhd = _neighbourhoods(g)
+        verts = _variable_order(_degrees(g, nbhd), "first")
+        rows, front, pair_until, loop_until = _order_tables(nbhd, verts)
+        for labels in sem_bijections(g):
+            f = [labels[v - 1] for v in verts]  # the label of each position
+            s = min(labels[u - 1] + labels[v - 1] for u, v in g.edges)
+            made = set()
+            for t in range(p):
+                made.update(f[t] + f[u] for u in rows[t])
+                rest = set(range(1, p + 1)) - set(f[:t + 1])
+                supports = {f[u] + y for u in front[t] for y in rest}
+                if t < pair_until:
+                    supports.update(y + z for y in rest for z in rest if y != z)
+                if t < loop_until:
+                    supports.update(2 * y for y in rest)
+                assert set(range(s, s + q)) - made <= supports
+            assert made == set(range(s, s + q))
 
 
 STARS = [star_with_loop(n) for n in range(1, 5)]
@@ -300,7 +341,51 @@ class TestCertify:
         lines = out.splitlines()
         assert [line.split()[0] for line in lines] == [f"p={p}" for p in range(3, 13)]
         assert not [line for line in lines if "witness" in line or "aborted" in line]
-        assert lines[-1].split()[2:4] == ["lk15+lk15", "9,325"]
+        assert lines[-1].split()[2:4] == ["2l+lk19", "204"]
+
+
+def _forests(max_order: int):
+    """Leaf counts of every loop-star forest of order <= max_order with at
+    most two centres that have leaves; a 0 is a bare loop."""
+    for loops in range(max_order + 1):
+        for m in range(max_order):
+            for n in range(m, max_order):
+                leaves = [0] * loops + [x for x in (m, n) if x]
+                if leaves and sum(x + 1 for x in leaves) <= max_order:
+                    yield leaves
+
+
+class TestTwoStarOracle:
+    """``reference_two_star_sem`` decides the loop-star forests with at most
+    two leaf-bearing centres by the forced-matching lemma, without search."""
+
+    def test_agrees_with_unpruned_oracle(self):
+        forests = {tuple(leaves) for leaves in _forests(8)}
+        assert len(forests) == 58
+        sem = 0
+        for leaves in forests:
+            g = disjoint_union([star_with_loop(n) for n in leaves])
+            count, _ = exhaustive_sem_search(g)
+            assert reference_two_star_sem(leaves) == (count > 0), leaves
+            sem += count > 0
+        assert sem == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 1), st.integers(0, 11), st.integers(1, 22))
+    def test_agrees_with_the_search(self, loops, m, n):
+        leaves = [0] * loops + [m, n]
+        g = disjoint_union([star_with_loop(x) for x in leaves])
+        assume(g.order <= 24)
+        report = find_sem(g, "first")
+        assert report.outcome != ABORTED
+        assert (report.outcome == WITNESS) == reference_two_star_sem(leaves)
+
+    def test_known_results(self):
+        assert reference_two_star_sem([0, 1, 1])  # l+lk11+lk11
+        assert not any(reference_two_star_sem([m, n]) for m in range(1, 9) for n in range(m, 9))
+        assert not reference_two_star_sem([0, 0, 5])  # 2l+lk15
+        with pytest.raises(ValueError):
+            reference_two_star_sem([1, 1, 1])
 
 
 class TestEnumerateSnk:
@@ -503,7 +588,7 @@ class TestExplore:
             data = report_json(report)
             assert set(data) == {"outcome", "labels", "nodes", "ms"}
 
-    @pytest.mark.parametrize("s,n,nodes", [(3, 2, 21_751), (2, 4, 304_994)],
+    @pytest.mark.parametrize("s,n,nodes", [(3, 2, 14_187), (2, 4, 9_506)],
                              ids=["6lk12", "4lk14"])
     def test_even_copy_witnesses(self, s, n, nodes):
         # 6 lk12 (order 18) and 4 lk14 (order 20) are SEM
