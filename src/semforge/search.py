@@ -1,11 +1,11 @@
 """Backtracking search for super edge-magic labelings, exhaustive
 non-existence certification, family enumeration, and small censuses.
 
-The SEM search (``_sem_backtrack``) is one core behind ``find_sem``,
-``certify_not_sem`` and the census.  It anchors the window of induced sums:
-the consecutive-sums identity confines the minimum sum s to a short range,
-and a partial labeling dies as soon as its sums fit no window [s, s+q-1]
-with s in that range.  The same identity, bounded by the degrees of the
+The SEM search (``_sem_backtrack``) is one core behind ``find_sem`` and
+``certify_not_sem``.  It anchors the window of induced sums: the
+consecutive-sums identity confines the minimum sum s to a short range, and a
+partial labeling dies as soon as its sums fit no window [s, s+q-1] with s in
+that range.  The same identity, bounded by the degrees of the
 vertices still unplaced, narrows that range again at every depth.  Once the
 range is a single s, every sum of the window not yet made needs an edge still
 open that can make it, or the partial labeling dies.  Outside ``all`` mode
@@ -15,7 +15,9 @@ labeling.
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
 cross-checked against plain enumeration at small orders, and the two must
-agree both on existence and on witness counts.
+agree both on existence and on witness counts.  The census searches no
+class: it reads each class's SEM flag off the labeled graphs whose identity
+labeling is SEM, so its flags and ``find_sem`` are independent too.
 """
 
 from __future__ import annotations
@@ -374,20 +376,6 @@ def _variable_order(deg: list, mode: str) -> list:
     return verts
 
 
-def _find_sem(g: Graph, nbhd: tuple, mode: str, max_nodes: int, deadline: float) -> tuple:
-    """``_sem_backtrack`` on g with its prebuilt ``_neighbourhoods`` in the
-    variable order of ``mode``, with every witness re-verified by ``is_sem``;
-    returns ``(status, witnesses, nodes)``."""
-    deg = _degrees(g, nbhd)
-    verts = _variable_order(deg, mode)
-    status, wits, nodes = _sem_backtrack(g, nbhd, verts, deg, mode, max_nodes, deadline)
-    for w in wits:
-        ok, _ = is_sem(g, w)
-        if not ok:
-            raise RuntimeError("searcher produced a witness rejected by is_sem")
-    return status, wits, nodes
-
-
 def find_sem(
     g: Graph,
     mode: str = "first",
@@ -411,7 +399,15 @@ def find_sem(
     _check_order_bound(g.order, mode)
     nbhd = _neighbourhoods(g)
     start = time.monotonic()
-    status, wits, nodes = _find_sem(g, nbhd, mode, budget.max_nodes, start + budget.max_seconds)
+    deg = _degrees(g, nbhd)
+    verts = _variable_order(deg, mode)
+    status, wits, nodes = _sem_backtrack(
+        g, nbhd, verts, deg, mode, budget.max_nodes, start + budget.max_seconds
+    )
+    for w in wits:
+        ok, _ = is_sem(g, w)
+        if not ok:
+            raise RuntimeError("searcher produced a witness rejected by is_sem")
     elapsed = time.monotonic() - start
     witness = wits[0] if wits else None
     return SearchReport(
@@ -520,6 +516,23 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
     return LabeledFamily(n, k, members)
 
 
+def _labeled_sem_edge_sets(p: int, starts: range):
+    """The labeled graphs on [1,p] with p edges whose identity labeling is
+    SEM with a minimum sum in ``starts``, each as the tuple of its edges
+    (i, j), i <= j, in ascending order of the sum i + j.
+
+    Under the identity labeling such a graph makes each sum x of its window
+    [s, s+p-1] with exactly one edge, and any choice of one pair i <= j with
+    i + j = x for each x of the window is such a graph, since pairs with
+    distinct sums are distinct edges.  Over all windows, 2 <= s <= p+1, there
+    are p! of them.
+    """
+    for s in starts:
+        yield from itertools.product(
+            *([(i, x - i) for i in range(max(1, x - p), x // 2 + 1)] for x in range(s, s + p))
+        )
+
+
 def _block_relabelings(p: int, d: int) -> list:
     """The relabelings of [1,p], as tuples f with f[0] = 0, that fix vertex 1
     and permute {2..d+1} and {d+2..p} each among themselves."""
@@ -536,8 +549,8 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     One orderly pass (Read 1978; McKay 1998) meets p-edge subsets in
     lexicographic order, so the first subset met of each class is its
     canonical form (minimum sorted edge list over all relabelings).  It is
-    searched and appended with its SEM outcome.  A canonical form contains
-    (1,1), the smallest pair, iff the class has a loop, and vertex 1's other
+    appended with its SEM flag.  A canonical form contains (1,1), the
+    smallest pair, iff the class has a loop, and vertex 1's other
     neighbours are {2..k+1} (k >= 1 if loopless), since moving them there in
     order only shrinks the (1,x) prefix of the sorted edge list.
     So the pass visits only subsets of that shape, and keeps one byte per
@@ -550,10 +563,24 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     a centre whose first image is already marked lies in the orbit of an
     earlier centre and has the same images, and swapping two twins (same
     open neighbourhood and loop flag) fixes the image.
+
+    No class is searched: the flags come from the labeled SEM graphs, those
+    whose identity labeling is SEM (``_labeled_sem_edge_sets``).  Before the
+    pass, each one with a window s <= ⌊(p+3)/2⌋ is moved by one centre
+    relabeling onto a shaped image, and the image's rank keeps the labels
+    that make it SEM.  The complement x ↦ p+1-x maps window s onto window
+    p+3-s inside one class, so the other windows add no class.  A class is
+    SEM iff one of its graphs is a labeled SEM graph; its marking meets every
+    shaped image of the class, so it is SEM iff one of the ranks it marks is
+    kept.  The kept labels, moved back through the centre and block
+    relabelings that hit that rank, are re-verified by ``is_sem``.
     ``budget.max_nodes`` bounds the subsets visited; ``budget.max_seconds``
-    the whole census, class searches included; an aborted class search
-    raises ``ResourceLimit``, and so does p > 8 (order 8 takes 7 s).
+    the whole census, read at the first labeled SEM graph and at every
+    1024th after it, and every 1024 subsets.  Past either budget the census
+    raises ``ResourceLimit``, and so does p > 8 (order 8 takes about 6 s).
     """
+    if type(p) is not int:
+        raise ValueError(f"census order must be an integer, got {p!r}")
     if p > 8:
         raise ResourceLimit("census bound is order <= 8")
     if p < 1:
@@ -604,35 +631,67 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             keep = ascending[d, i, j] if keep is None else keep & ascending[d, i, j]
         return [maps[x] for x in keep]
 
-    def mark(g: Graph, nbhd: tuple, looped: bool) -> None:
-        """Mark each image of the class that has the shape of a visited subset."""
+    def centred(edges, looped: bool, c: int, around) -> tuple:
+        """Send c to 1, its other neighbours ``around`` onto {2..d+1} and the
+        rest onto {d+2..p}, each in order; returns that relabeling (index 0
+        unused), the slots of the image's tail and the image's rank."""
+        lab = [0] * (p + 1)
+        rest = (v for v in range(1, p + 1) if v != c and v not in around)
+        for i, v in enumerate([c, *sorted(around), *rest], 1):
+            lab[v] = i
+        tail = [slot[lab[u], lab[v]] for u, v in edges if c != u and c != v]
+        last, weights = shapes[looped, len(around)][3:]
+        return lab, tail, last - sum(map(list.__getitem__, weights, sorted(tail)))
+
+    seeds: dict = {}  # rank of a shaped image -> the labels that make it SEM
+    for i, edges in enumerate(_labeled_sem_edge_sets(p, range(2, (p + 3) // 2 + 1))):
+        if i & 1023 == 0 and time.monotonic() > deadline:
+            raise ResourceLimit("census wall-clock budget exhausted")
+        # a centre as ``mark`` takes one: a looped vertex, else any with a neighbour
+        loops = [u for u, v in edges if u == v]
+        c = loops[0] if loops else edges[0][0]
+        around = {u + v - c for u, v in edges if c in (u, v) and u != v}
+        lab, _, rank = centred(edges, bool(loops), c, around)
+        # vertex lab[v] of the image carries label v
+        seeds[rank] = bytes(sorted(range(1, p + 1), key=lab.__getitem__))
+
+    def mark(g: Graph, nbhd: tuple, looped: bool) -> list | None:
+        """Mark each image of the class that has the shape of a visited
+        subset; returns the labels of a SEM labeling of g read off a kept
+        image, or None if no image is kept."""
         nbrs, loop = nbhd
         twins: dict = {}
         for v in range(1, p + 1):
             twins.setdefault((frozenset(nbrs[v]), loop[v]), []).append(v)
+        witness = None
         for c in range(1, p + 1):
             if not (loop[c] if looped else nbrs[c]):
                 continue
-            # send c to 1, N(c) onto {2..d+1} and the rest onto {d+2..p} in
-            # order; the block relabelings then give every image of this shape
-            d = len(nbrs[c])
-            lab = [0] * (p + 1)
-            rest = set(range(1, p + 1)) - nbrs[c] - {c}
-            for i, v in enumerate([c, *sorted(nbrs[c]), *sorted(rest)], 1):
-                lab[v] = i
-            tail = [slot[lab[u], lab[v]] for u, v in g.edges if c != u and c != v]
-            last, weights = shapes[looped, d][3:]
-            if marks[last - sum(map(list.__getitem__, weights, sorted(tail)))]:
+            # the block relabelings of this base image give every image of its shape
+            lab, tail, base = centred(g.edges, looped, c, nbrs[c])
+            if marks[base]:
                 continue  # an earlier centre of c's orbit marked these images
+            d = len(nbrs[c])
+            last, weights = shapes[looped, d][3:]
             # twins other than c lie in one block and take ascending labels
             pairs = [
                 (lab[u], lab[w])
                 for cls in twins.values()
                 for u, w in itertools.pairwise([v for v in cls if v != c])
             ]
-            for f in relabelings(d, pairs):
-                image = sorted(map(f.__getitem__, tail))
-                marks[last - sum(map(list.__getitem__, weights, image))] = 1
+            fs = relabelings(d, pairs)
+            ranks = [
+                last - sum(map(list.__getitem__, weights, sorted(map(f.__getitem__, tail))))
+                for f in fs
+            ]
+            for r in ranks:
+                marks[r] = 1
+            if witness is None and not seeds.keys().isdisjoint(ranks):
+                f, r = next((f, r) for f, r in zip(fs, ranks) if r in seeds)
+                labels = seeds[r]
+                # f maps slots, and sends vertex w where it sends the loop (w,w)
+                witness = [labels[pool[f[slot[w, w]]][0] - 1] for w in lab[1:]]
+        return witness
 
     entries = []
     visited = 0
@@ -649,11 +708,10 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
                     continue
                 g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
                 nbhd = _neighbourhoods(g)
-                mark(g, nbhd, looped)
-                status, _, _ = _find_sem(g, nbhd, "first", DEFAULT_NODE_BUDGET, deadline)
-                if status == ABORTED:
-                    raise ResourceLimit("census search of a class aborted")
-                entries.append((g, status == WITNESS))
+                witness = mark(g, nbhd, looped)
+                if witness is not None and not is_sem(g, VertexLabeling(tuple(witness)))[0]:
+                    raise RuntimeError("census read off a witness rejected by is_sem")
+                entries.append((g, witness is not None))
     return entries
 
 
@@ -662,6 +720,8 @@ def explore_even_copies(s: int, n: int, budget: ResourceBudget | None = None) ->
 
     Pure data gathering; the outcome is reported, never asserted in advance.
     """
+    if type(s) is not int or type(n) is not int:
+        raise ValueError(f"s and n must be integers, got s={s!r}, n={n!r}")
     if s < 1 or n < 1:
         raise ValueError(f"need s, n >= 1, got s={s}, n={n}")
     _check_order_bound(2 * s * (n + 1), "first")  # before the graph is built

@@ -1,7 +1,9 @@
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -549,13 +551,15 @@ class TestCensusCommand:
         assert len(lines) == 2
         assert {line["sem"] for line in lines} == {True, False}
 
-    def test_aborted_class_search_exits_three(self, runner, monkeypatch):
-        from semforge.search import ABORTED
+    def test_deadline_passed_before_the_pass_exits_three(self, runner, monkeypatch):
+        # the first clock read sets the deadline; the next lies past it
+        reads = []
 
-        def aborted(g, nbhd, mode, max_nodes, deadline):
-            return ABORTED, [], 1
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else math.inf
 
-        monkeypatch.setattr("semforge.search._find_sem", aborted)
+        monkeypatch.setattr("semforge.search.time", SimpleNamespace(monotonic=monotonic))
         result = runner.invoke(main, ["census", "--order", "2"])
         assert result.exit_code == 3
         assert '"sem"' not in result.output

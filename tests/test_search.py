@@ -3,10 +3,10 @@ import json
 import math
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +30,7 @@ from semforge.search import (
     WITNESS,
     ResourceBudget,
     _degree_tables,
+    _labeled_sem_edge_sets,
     _degrees,
     _order_tables,
     _sum_starts,
@@ -444,6 +445,29 @@ def _census(k: int) -> list:
     return census_equal_order_size(k)
 
 
+class TestLabeledSemEdgeSets:
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_p_factorial_edge_sets_sem_under_identity(self, p):
+        identity = identity_labeling(p)
+        seen = set()
+        for s in range(2, p + 2):
+            for edges in _labeled_sem_edge_sets(p, range(s, s + 1)):
+                ok, window = is_sem(Graph(p, frozenset(edges)), identity)
+                assert ok and (window.s_min, window.width) == (s, p)
+                seen.add(frozenset(edges))
+        assert len(seen) == math.factorial(p)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_complement_maps_window_s_onto_window_p_plus_3_minus_s(self, p):
+        for s in range(2, p + 2):
+            flipped = {
+                frozenset((p + 1 - j, p + 1 - i) for i, j in edges)
+                for edges in _labeled_sem_edge_sets(p, range(s, s + 1))
+            }
+            mirror = _labeled_sem_edge_sets(p, range(p + 3 - s, p + 4 - s))
+            assert flipped == set(map(frozenset, mirror))
+
+
 class TestCensus:
     def test_order_one(self):
         entries = census_equal_order_size(1)
@@ -543,18 +567,45 @@ class TestCensus:
         with pytest.raises(ResourceLimit):
             census_equal_order_size(6, ResourceBudget(max_seconds=0.0))
 
-    def test_aborted_class_search_is_a_limit(self, monkeypatch):
-        # an aborted search is no verdict: it must not be recorded as "not SEM"
-        deadlines = []
+    def test_deadline_passed_before_the_pass_is_a_limit(self, monkeypatch):
+        # a census past its deadline is no verdict, even before any subset is
+        # visited: the first clock read sets the deadline and the second, at
+        # the first labeled SEM graph, already lies past it
+        reads = []
 
-        def aborted(g, nbhd, mode, max_nodes, deadline):
-            deadlines.append(deadline)
-            return ABORTED, [], 1
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else math.inf
 
-        monkeypatch.setattr("semforge.search._find_sem", aborted)
-        with pytest.raises(ResourceLimit):
+        monkeypatch.setattr("semforge.search.time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(ResourceLimit, match="wall-clock"):
             census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
-        assert len(deadlines) == 1 and deadlines[0] <= time.monotonic() + 50.0
+        # order 3 visits 8 subsets, too few for the pass to read the clock
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("p", [2.0, "3", 8.5, True, None])
+    def test_non_int_order_is_malformed(self, p):
+        with pytest.raises(ValueError, match="must be an integer"):
+            census_equal_order_size(p)
+
+    def test_flags_agree_with_find_sem_at_order_seven(self):
+        # the census reads its flags off the labeled SEM graphs and searches
+        # no class, so the two are independent
+        for g, sem in _census(7):
+            assert (find_sem(g, "first").outcome == WITNESS) == sem
+
+    def test_no_class_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the census searched a class")
+
+        monkeypatch.setattr("semforge.search._sem_backtrack", no_search)
+        entries = census_equal_order_size(6)
+        assert (len(entries), sum(sem for _, sem in entries)) == (173, 89)
+
+    def test_witness_rejected_by_is_sem_is_an_error(self, monkeypatch):
+        monkeypatch.setattr("semforge.search.is_sem", lambda g, w: (False, None))
+        with pytest.raises(RuntimeError, match="is_sem"):
+            census_equal_order_size(3)
 
     def test_one_neighbourhood_build_per_class(self, monkeypatch):
         # marking and searching a class share one _neighbourhoods(g)
@@ -599,6 +650,11 @@ class TestExplore:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             explore_even_copies(0, 1)
+
+    @pytest.mark.parametrize("s, n", [(True, 1), (1, True), (1.0, 1), (1, "2"), (1, 2.5)])
+    def test_non_int_params_are_malformed(self, s, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            explore_even_copies(s, n)
 
     def test_order_bound_before_build(self, monkeypatch):
         # 2s(n+1) = 30 > 24: the bound fires before the graph is built
