@@ -153,6 +153,13 @@ def _budget(node_budget: int | None, timeout: float | None) -> ResourceBudget:
     )
 
 
+def _labeling_report(g: Graph, labeling: VertexLabeling, out: str | None) -> None:
+    """Emit the labeling JSON of a labeling of g and exit by its sem flag."""
+    data = labeling_json(g, labeling)
+    _emit(json.dumps(data) + "\n", out)
+    sys.exit(0 if data["sem"] else EXIT_NEGATIVE)
+
+
 def _report(report, out: str | None) -> None:
     """Emit a search report and exit by its outcome."""
     _emit(json.dumps(report_json(report)) + "\n", out)
@@ -230,10 +237,7 @@ def construct(family_name, params, spec, fmt, out):
 @click.option("--out", default=None)
 def verify(graph_path, labeling_path, out):
     """Check a vertex labeling for the consecutive-sum certificate."""
-    g = _load_graph(graph_path)
-    data = labeling_json(g, _load_labeling(labeling_path))
-    _emit(json.dumps(data) + "\n", out)
-    sys.exit(0 if data["sem"] else EXIT_NEGATIVE)
+    _labeling_report(_load_graph(graph_path), _load_labeling(labeling_path), out)
 
 
 @main.command("search")
@@ -335,9 +339,7 @@ def census(order_, node_budget, timeout, out):
 @click.option("--out", default=None)
 def complement_cmd(graph_path, labeling_path, out):
     """Emit the complementary labeling x -> p+1-f(x), re-verified on the graph."""
-    g = _load_graph(graph_path)
-    labeling = _load_labeling(labeling_path)
-    _emit(json.dumps(labeling_json(g, complement(labeling))) + "\n", out)
+    _labeling_report(_load_graph(graph_path), complement(_load_labeling(labeling_path)), out)
 
 
 @main.command()

@@ -9,7 +9,6 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -53,24 +52,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum vertex."""
-        seen = set()
-        comps = []
-        adj, _ = _neighbourhoods(self)
-        for start in range(1, self.order + 1):
-            if start in seen:
-                continue
-            queue = deque([start])
-            comp = []
-            seen.add(start)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(comp) for comp in _components(_neighbourhoods(self)[0])]
 
 
 @dataclass(frozen=True)
@@ -104,6 +86,24 @@ def _neighbourhoods(g: Graph) -> tuple[list, list]:
             nbrs[u].add(v)
             nbrs[v].add(u)
     return nbrs, loop
+
+
+def _components(adj: list):
+    """Yield the connected components of the graph whose neighbours of v are
+    ``adj[v]`` (index 0 unused), in order of their smallest vertex, each as
+    a vertex list in breadth-first order."""
+    seen = [False] * len(adj)
+    for start in range(1, len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # breadth-first: comp grows while it is read
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        yield comp
 
 
 def _check_order(order, kind: str) -> None:
@@ -215,19 +215,8 @@ def indegree_one_orientation(g: Graph) -> Digraph:
         deg[v] += 2
     # Components in order of their smallest vertex; each needs as many edges
     # as vertices, i.e. a degree sum of twice its vertex count.
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        twice_size = 0
-        for v in comp:  # breadth-first: comp grows while it is read
-            twice_size += deg[v]
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
+    for comp in _components(adj):
+        twice_size = sum(deg[v] for v in comp)
         if twice_size != 2 * len(comp):
             problem = (
                 "has no cycle (it is a tree)" if twice_size < 2 * len(comp)
@@ -294,50 +283,40 @@ def adjacency_matrix(
     return AdjacencyMatrix(tuple(tuple(row) for row in rows))
 
 
-def _joint_refine(nbhd_g: tuple, nbhd_h: tuple):
-    """Color-refine two graphs, given by their ``_neighbourhoods``, together;
-    None when the color histograms split.  A vertex starts with its loop flag
-    and its number of other neighbours; a loop needs no entry among the
-    neighbours, since the flag is already part of the vertex's own color."""
-    (nbrs_g, loop_g), (nbrs_h, loop_h) = nbhd_g, nbhd_h
-    cg = {v: (loop_g[v], len(nbrs_g[v])) for v in range(1, len(nbrs_g))}
-    ch = {v: (loop_h[v], len(nbrs_h[v])) for v in range(1, len(nbrs_h))}
-    while True:
-        if sorted(cg.values()) != sorted(ch.values()):
-            return None
-        ng = {v: (cg[v], tuple(sorted(cg[u] for u in nbrs_g[v]))) for v in cg}
-        nh = {v: (ch[v], tuple(sorted(ch[u] for u in nbrs_h[v]))) for v in ch}
-        ranks = {val: i for i, val in enumerate(sorted(set(ng.values()) | set(nh.values())))}
-        ng = {v: ranks[val] for v, val in ng.items()}
-        nh = {v: ranks[val] for v, val in nh.items()}
-        stable = len(set(ng.values())) == len(set(cg.values())) and len(
-            set(nh.values())
-        ) == len(set(ch.values()))
-        cg, ch = ng, nh
-        if stable:
-            if sorted(cg.values()) != sorted(ch.values()):
-                return None
-            return cg, ch
-
-
 def isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test (loops respected) by refinement-guided backtracking."""
+    """Exact isomorphism test (loops respected) by refinement-guided backtracking.
+
+    Colour refinement runs on the disjoint union g ⊔ h, with g on vertices
+    1..p and h on p+1..2p, so both halves share one colour list and one
+    neighbourhood table; it answers False as soon as the halves' colour
+    histograms differ.  A vertex starts with its loop flag and its number of
+    other neighbours; a loop needs no entry among the neighbours, since the
+    flag is already part of the vertex's own colour.  The backtracking then
+    maps g's half onto h's half, vertices of the smallest colour class first.
+    """
     if g.order > DEFAULT_ISO_ORDER_BOUND or h.order > DEFAULT_ISO_ORDER_BOUND:
         raise ResourceLimit(f"isomorphism bound is order <= {DEFAULT_ISO_ORDER_BOUND}")
     if g.order != h.order or g.size != h.size:
         return False
-    nbhd_g, nbhd_h = _neighbourhoods(g), _neighbourhoods(h)
-    refined = _joint_refine(nbhd_g, nbhd_h)
-    if refined is None:
-        return False
-    cg, ch = refined
-    (nbrs_g, loop_g), (nbrs_h, loop_h) = nbhd_g, nbhd_h
+    p = g.order
+    nbrs, loop = _neighbourhoods(disjoint_union([g, h]))
+    vs = range(1, 2 * p + 1)
+    colour = [None] + [(loop[v], len(nbrs[v])) for v in vs]  # index 0 is unused
+    while True:
+        if sorted(colour[1 : p + 1]) != sorted(colour[p + 1 :]):
+            return False
+        refined = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in vs]
+        ranks = {val: i for i, val in enumerate(sorted(set(refined)))}
+        stable = len(ranks) == len(set(colour[1:]))
+        colour = [None] + [ranks[val] for val in refined]
+        if stable:
+            break
     by_color: dict[int, list[int]] = {}
-    for w, c in ch.items():
-        by_color.setdefault(c, []).append(w)
+    for w in range(p + 1, 2 * p + 1):
+        by_color.setdefault(colour[w], []).append(w)
     order_vs = sorted(
-        range(1, g.order + 1),
-        key=lambda v: (len(by_color[cg[v]]), -len(nbrs_g[v]) - 2 * loop_g[v], v),
+        range(1, p + 1),
+        key=lambda v: (len(by_color[colour[v]]), -len(nbrs[v]) - 2 * loop[v], v),
     )
     mapping = {}
     used = set()
@@ -348,7 +327,7 @@ def isomorphic(g: Graph, h: Graph) -> bool:
         if idx == len(order_vs):
             return True
         v = order_vs[idx]
-        for w in by_color[cg[v]]:
+        for w in by_color[colour[v]]:
             if w in used:
                 continue
             nodes += 1
@@ -356,10 +335,10 @@ def isomorphic(g: Graph, h: Graph) -> bool:
                 raise ResourceLimit("isomorphism node budget exhausted")
             ok = True
             for u, wu in mapping.items():
-                if (u in nbrs_g[v]) != (wu in nbrs_h[w]):
+                if (u in nbrs[v]) != (wu in nbrs[w]):
                     ok = False
                     break
-            if ok and loop_g[v] == loop_h[w]:
+            if ok and loop[v] == loop[w]:
                 mapping[v] = w
                 used.add(w)
                 if extend(idx + 1):
@@ -460,36 +439,31 @@ def _parse_pairs(lines: list[str], q: int, what: str) -> frozenset:
     return found
 
 
-def _graph_lines(lines: list[str]) -> tuple[int, frozenset]:
-    """Order and normalised edge set of a graph file's content lines."""
+def _edge_list(lines: list[str], directed: bool) -> tuple[int, frozenset]:
+    """Order and pair set of a graph or digraph file's content lines; edges
+    are normalised to ``u <= v``."""
     header = lines[0].split()
-    if len(header) != 2:
+    if directed:
+        if len(header) != 3 or header[2] != "d":
+            raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
+    elif len(header) != 2:
         raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
     p, q = int(header[0]), int(header[1])
-    return p, _parse_pairs(lines[1:], q, "edge")
-
-
-def _digraph_lines(lines: list[str]) -> tuple[int, frozenset]:
-    """Order and arc set of a digraph file's content lines."""
-    header = lines[0].split()
-    if len(header) != 3 or header[2] != "d":
-        raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
-    p, q = int(header[0]), int(header[1])
-    return p, _parse_pairs(lines[1:], q, "arc")
+    return p, _parse_pairs(lines[1:], q, "arc" if directed else "edge")
 
 
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
-    return Graph(*_graph_lines(lines))
+    return Graph(*_edge_list(lines, False))
 
 
 def parse_digraph(text: str) -> Digraph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty digraph file")
-    return Digraph(*_digraph_lines(lines))
+    return Digraph(*_edge_list(lines, True))
 
 
 def _read_edge_list(text: str) -> tuple[bool, int, frozenset]:
@@ -501,9 +475,8 @@ def _read_edge_list(text: str) -> tuple[bool, int, frozenset]:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
-    if len(lines[0].split()) == 3:
-        return (True, *_digraph_lines(lines))
-    return (False, *_graph_lines(lines))
+    directed = len(lines[0].split()) == 3
+    return (directed, *_edge_list(lines, directed))
 
 
 def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:

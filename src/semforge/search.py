@@ -86,13 +86,18 @@ class SearchReport:
 
 
 def report_json(report: SearchReport) -> dict:
+    """The search report JSON; ``witnesses`` is added only when the report
+    carries the full list (``all`` mode)."""
     w = report.witness
-    return {
+    data = {
         "outcome": report.outcome,
         "labels": list(w.labels) if w is not None else None,
         "nodes": report.nodes,
         "ms": int(report.elapsed * 1000),
     }
+    if report.witnesses is not None:
+        data["witnesses"] = [list(x.labels) for x in report.witnesses]
+    return data
 
 
 class _Abort(Exception):

@@ -299,6 +299,17 @@ class TestSearchCommand:
         )
         assert result.exit_code == 3
 
+    def test_all_mode_prints_every_witness(self, runner, tmp_path):
+        gpath = tmp_path / "lk12.txt"
+        gpath.write_text(_STAR)
+        result = runner.invoke(main, ["search", "--graph", str(gpath), "--mode", "all"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert (data["outcome"], data["labels"], data["nodes"]) == ("witness", [1, 2, 3], 15)
+        assert data["witnesses"] == [
+            [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
+        ]
+
     def test_order_bound_exit_three(self, runner, tmp_path):
         gpath = tmp_path / "big.txt"
         gpath.write_text(format_graph(star_with_loop(29)))
@@ -710,6 +721,9 @@ class TestExitCodeContract:
         _row("verify-not-sem", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
              {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
              1, '{"p": 2, "labels": [1, 2], "sem": false, "window": null, "magic_sum": null}'),
+        _row("complement-not-sem", ["complement", "--graph", "g.txt", "--labeling", "l.json"],
+             {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
+             1, '{"p": 2, "labels": [2, 1], "sem": false, "window": null, "magic_sum": null}'),
         _row("complement-short-labeling", ["complement", *_STAR_ARGS, "--labeling", "l.json"],
              {"star.txt": _STAR, "l.json": _TWO_LABELS},
              2, "Error: labeling has 2 labels but the graph has order 3"),

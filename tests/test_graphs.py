@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semforge import graphs
@@ -60,6 +60,23 @@ def orientation_inputs(draw):
     return draw(st.sampled_from([
         good, other, disjoint_union([good, other]), disjoint_union([other, good])
     ]))
+
+
+@st.composite
+def iso_pairs(draw):
+    """Two graphs of one order p <= 6 with the same number of edges, from
+    none to all p(p+1)/2, so edgeless graphs and isolated vertices are
+    common; h is a relabeled copy of g or an arbitrary graph."""
+    p = draw(st.integers(1, 6))
+    pool = all_possible_edges(p)
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    g = Graph(p, frozenset(edges))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(1, p + 1)))
+        return g, Graph(p, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    other = draw(st.lists(st.sampled_from(pool), unique=True,
+                          min_size=len(edges), max_size=len(edges)))
+    return g, Graph(p, frozenset(other))
 
 
 @st.composite
@@ -307,6 +324,18 @@ class TestIsomorphic:
             g = random_equal_order_size_graph(rng, max_order=6)
             h = random_equal_order_size_graph(rng, min_order=g.order, max_order=g.order)
             assert isomorphic(g, h) == brute_force_isomorphic(g, h)
+
+    # refinement runs on g ⊔ h: an unused index 0, or isolated vertices that
+    # share the starting colour, must not upset the class count
+    @settings(max_examples=400, deadline=None)
+    @given(iso_pairs())
+    @example((Graph(4), Graph(4)))
+    @example((Graph(4, [(1, 2), (3, 3)]), Graph(4, [(1, 1), (2, 3)])))
+    @example((Graph(4, [(1, 2), (2, 3)]), Graph(4, [(1, 2), (3, 4)])))
+    @example((Graph(3, all_possible_edges(3)), Graph(3, all_possible_edges(3))))
+    def test_agrees_with_brute_force_any_size(self, pair):
+        g, h = pair
+        assert isomorphic(g, h) == brute_force_isomorphic(g, h)
 
     def test_agrees_with_brute_force_order_seven(self, rng):
         for _ in range(25):

@@ -608,7 +608,8 @@ class TestCensus:
             census_equal_order_size(3)
 
     def test_one_neighbourhood_build_per_class(self, monkeypatch):
-        # marking and searching a class share one _neighbourhoods(g)
+        # marking builds one _neighbourhoods(g) per class; the labeled SEM
+        # graphs build none
         built = []
 
         def counted(g):
@@ -723,3 +724,14 @@ class TestReportJson:
     def test_exhausted_labels_null(self):
         data = report_json(find_sem(TWO_STARS))
         assert data["outcome"] == "exhausted" and data["labels"] is None
+
+    def test_witnesses_only_in_all_mode(self):
+        # the other modes keep their four keys; all mode lists every witness
+        for mode in ("first", "canonical"):
+            assert "witnesses" not in report_json(find_sem(star_with_loop(2), mode))
+        assert "witnesses" not in report_json(certify_not_sem(TWO_STARS))
+        aborted = find_sem(TWO_STARS, "all", ResourceBudget(max_nodes=2))
+        assert aborted.outcome == "aborted" and "witnesses" not in report_json(aborted)
+        assert report_json(find_sem(TWO_STARS, "all"))["witnesses"] == []
+        data = report_json(find_sem(star_with_loop(2), "all"))
+        assert data["witnesses"] == [list(p) for p in sem_bijections(star_with_loop(2))]
