@@ -302,7 +302,7 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
         try:
             assignment = parse_assignment(Path(assignment_path).read_text())
         except (ValueError, OSError) as exc:
-            raise click.UsageError(f"bad assignment file: {exc}")
+            raise click.UsageError(f"bad assignment file {assignment_path}: {exc}")
     else:
         if not 0 <= member < len(family.members):
             raise click.UsageError(

@@ -8,7 +8,9 @@ verifier points at a transcription mistake, not at the input.
 
 Component layout convention: components are numbered in the order the family
 name lists them, each component holding its center first and then its leaves,
-so outputs are deterministic and golden-file friendly.
+so outputs are deterministic and golden-file friendly.  A loop-star union's
+labels are therefore each component's [center, leaves...] labels, joined in
+the order of its ``disjoint_union`` call; the docstrings state them that way.
 """
 
 from __future__ import annotations
@@ -147,73 +149,51 @@ def build_two_lk11_lk1n(n: int) -> CertifiedLabeledGraph:
 def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
     """Two loop-stars with m leaves each plus a loop-star with n leaves.
 
-    Extends the m=1 labeling: m-1 fresh leaves on the 5-center get
-    -1,-3,...,-(2m-3), those on the 3-center get 0,-2,...,-(2m-4), and every
-    label is then shifted by 2m-2.
+    Extends the m=1 labeling.  Center first, the components get
+    [3, 6, 0, -2, ..., 4-2m], [5, 2, -1, -3, ..., 3-2m] and
+    [4, 1, 7, 8, ..., n+5], and every label is then shifted by 2m-2.
     """
     if m < 1 or n < 1:
         raise BadParam(f"need m, n >= 1, got m={m}, n={n}")
     graph = disjoint_union([star_with_loop(m), star_with_loop(m), star_with_loop(n)])
-    shift = 2 * m - 2
-    raw = {}
-    c1, c1_first = 1, 2
-    c2, c2_first = m + 2, m + 3
-    c3 = 2 * m + 3
-    raw[c1], raw[c1_first] = 3, 6
-    raw[c2], raw[c2_first] = 5, 2
-    raw[c3] = 4
-    rest = sorted(set(range(1, n + 6)) - {2, 3, 4, 5, 6})
-    for leaf, lab in zip(range(c3 + 1, c3 + n + 1), rest):
-        raw[leaf] = lab
-    for idx, leaf in enumerate(range(3, m + 2)):
-        raw[leaf] = -2 * idx
-    for idx, leaf in enumerate(range(m + 4, 2 * m + 3)):
-        raw[leaf] = -(2 * idx + 1)
-    labels = [raw[v] + shift for v in range(1, graph.order + 1)]
+    raw = [3, 6, *range(0, 2 - 2 * m, -2)]
+    raw += [5, 2, *range(-1, 1 - 2 * m, -2)]
+    raw += [4, 1, *range(7, n + 6)]
+    labels = [lab + 2 * m - 2 for lab in raw]
     return _certify(graph, labels, f"2lk1m-lk1n(m={m},n={n})")
 
 
 def build_odd_copies_lk1n(s: int, n: int) -> CertifiedLabeledGraph:
     """(2s+1) disjoint copies of the loop-star with n leaves.
 
-    Copy i occupies vertices (i-1)(n+1)+1 .. i(n+1), center first.  Centers
-    get s+i; the first leaf of the last s copies gets i-s-1, of the first s+1
-    copies its center's label plus 2s+1; later leaves step by (2s+1)(j-1).
+    With q = 2s+1 copies, copy i (i = 1..q) has center s+i.  For i <= s+1 its
+    leaves are s+i+q, s+i+2q, ..., s+i+nq.  For i > s+1 its first leaf is
+    i-s-1 and its later leaves are s+i+q, ..., s+i+(n-1)q.
     For s=0 (one copy) any bijection is SEM; this one is the identity.
     """
     if s < 0 or n < 1:
         raise BadParam(f"need s >= 0 and n >= 1, got s={s}, n={n}")
     copies = 2 * s + 1
-    block = n + 1
     graph = disjoint_union([star_with_loop(n)] * copies)
-
-    def center(i: int) -> int:
-        return (i - 1) * block + 1
-
-    def leaf(i: int, j: int) -> int:
-        return (i - 1) * block + 1 + j
-
-    f = [0] * (graph.order + 1)
+    labels = []
     for i in range(1, copies + 1):
-        f[center(i)] = s + i
-    for i in range(s + 2, copies + 1):
-        f[leaf(i, 1)] = i - s - 1
-    for i in range(1, s + 2):
-        f[leaf(i, 1)] = f[center(i)] + copies
-    for j in range(2, n + 1):
-        for i in range(1, s + 2):
-            f[leaf(i, j)] = f[leaf(i, 1)] + copies * (j - 1)
-        for i in range(s + 2, copies + 1):
-            f[leaf(i, j)] = f[center(i)] + copies * (j - 1)
-    return _certify(graph, f[1:], f"odd-lk1n(s={s},n={n})")
+        c = s + i
+        if i <= s + 1:
+            labels += [c, *range(c + copies, c + n * copies + 1, copies)]
+        else:
+            labels += [c, i - s - 1, *range(c + copies, c + (n - 1) * copies + 1, copies)]
+    return _certify(graph, labels, f"odd-lk1n(s={s},n={n})")
 
 
 def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:
     """One loop-star with m leaves, two with n leaves, and 2s with one leaf.
 
-    The ten-case labeling scheme is applied over the range
-    [-2n+3, 4s+m+5] and then shifted by 2n-2.  Components are laid out in the
-    order just named; the m-star is the scheme's second center.
+    The ten-case labeling scheme, with c = 2s+3, is applied over the range
+    [-2n+3, 4s+m+5] and then shifted by 2n-2.  Center first, in the order
+    just named: the m-star (the scheme's second center) gets
+    [c, 2c, 2c+1, ..., 2c+m-1], the n-stars [c-1, 2c-1, 0, -2, ..., 4-2n] and
+    [c+1, 1, -1, -3, ..., 3-2n], and the one-leaf stars [x, x+c] for
+    x = s+2..2s+1, then [x, x-c] for x = 2s+5..3s+4.
     """
     if m < 1 or n < 1 or s < 1:
         raise BadParam(f"need m, n, s >= 1, got m={m}, n={n}, s={s}")
@@ -221,49 +201,14 @@ def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:
     comps.extend([star_with_loop(1)] * (2 * s))
     graph = disjoint_union(comps)
     cc = 2 * s + 3
-
-    v2 = 1
-    v1 = m + 2
-    v3 = m + n + 3
-
-    def v2k(kk: int) -> int:
-        return 1 + kk
-
-    def v1j(j: int) -> int:
-        return m + 2 + j
-
-    def v3j(j: int) -> int:
-        return m + n + 3 + j
-
-    def cent(i: int) -> int:
-        return m + 2 * n + 3 + 2 * (i - 4) + 1
-
-    def pend(i: int) -> int:
-        return cent(i) + 1
-
-    f = {}
-    f[v1] = 2 * s + 2
-    f[v2] = 2 * s + 3
-    f[v3] = 2 * s + 4
-    for i in range(4, s + 4):
-        f[cent(i)] = s - 2 + i
-    for i in range(s + 4, 2 * s + 4):
-        f[cent(i)] = s + 1 + i
-    f[v1j(1)] = f[v1] + cc
-    f[v2k(1)] = f[v2] + cc
-    f[v3j(1)] = f[v3] - cc
-    for j in range(2, n + 1):
-        f[v1j(j)] = -2 * j + 4
-    for kk in range(2, m + 1):
-        f[v2k(kk)] = f[v2k(1)] + kk - 1
-    for j in range(2, n + 1):
-        f[v3j(j)] = -2 * j + 3
-    for i in range(4, s + 4):
-        f[pend(i)] = f[cent(i)] + cc
-    for i in range(s + 4, 2 * s + 4):
-        f[pend(i)] = f[cent(i)] - cc
-    shift = 2 * n - 2
-    labels = [f[v] + shift for v in range(1, graph.order + 1)]
+    raw = [cc, *range(2 * cc, 2 * cc + m)]
+    raw += [cc - 1, 2 * cc - 1, *range(0, 2 - 2 * n, -2)]
+    raw += [cc + 1, 1, *range(-1, 1 - 2 * n, -2)]
+    for x in range(s + 2, 2 * s + 2):
+        raw += [x, x + cc]
+    for x in range(2 * s + 5, 3 * s + 5):
+        raw += [x, x - cc]
+    labels = [lab + 2 * n - 2 for lab in raw]
     return _certify(graph, labels, f"thm24(m={m},n={n},s={s})")
 
 

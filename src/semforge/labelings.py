@@ -248,5 +248,5 @@ def labeling_from_json(data: dict) -> VertexLabeling:
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
     p = data.get("p", len(labels))
     if type(p) is not int or p != len(labels):
-        raise ValueError(f"labeling claims p={p} but carries {len(labels)} labels")
+        raise ValueError(f"labeling claims p={p!r} but carries {len(labels)} labels")
     return VertexLabeling(tuple(labels))

@@ -130,7 +130,9 @@ def canonical_product_labeling(
     The output is verified against the product built with ``assignment``
     (constant to member 0 when omitted); the induced sum multiset is the same
     for every assignment into the family, so one verified product certifies
-    them all.  Raises ``VerificationFailed`` if the verifier rejects.
+    them all.  Raises ``NotSem`` if the host labeling is not SEM on the host's
+    arcs (no labeling is when two arcs are antiparallel, as their sums are
+    equal) and ``VerificationFailed`` if the verifier rejects.
     """
     return lift_to_product(host, host_labeling, family, assignment).labeling
 
@@ -147,8 +149,10 @@ def lift_to_product(
     ``canonical_product_labeling``.  The certificate's window is ``None`` when
     the product has no edges.
     """
-    ok, _ = is_sem(underlying(host), host_labeling)
-    if not ok:
+    base = underlying(host)
+    ok, _ = is_sem(base, host_labeling)
+    # antiparallel arcs share one edge of ``base``, which hides their equal sums
+    if not ok or base.size != host.size:
         raise NotSem("host labeling is not super edge-magic")
     if not family.members:
         raise ValueError("family has no members")

@@ -718,6 +718,9 @@ class TestExitCodeContract:
         _row("verify-short-labeling", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
              {"star.txt": _STAR, "l.json": _TWO_LABELS},
              2, "Error: labeling has 2 labels but the graph has order 3"),
+        _row("verify-string-p", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": '{"labels": [1, 2, 3], "p": "3"}'},
+             2, "Error: bad labeling file l.json: labeling claims p='3' but carries 3 labels"),
         _row("verify-not-sem", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
              {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
              1, '{"p": 2, "labels": [1, 2], "sem": false, "window": null, "magic_sum": null}'),
@@ -775,6 +778,16 @@ class TestExitCodeContract:
               "--emit", "labeling"],
              {"star.txt": _STAR, "l.json": _TWO_LABELS},
              2, "Error: labeling has 2 labels but the graph has order 3"),
+        # (1,2) and (2,1) merge into one edge of the underlying graph: sum 3 twice
+        _row("product-antiparallel-host",
+             ["product", "--graph", "d.txt", "--snk", "2,3", "--host-labeling", "l.json",
+              "--emit", "labeling"],
+             {"d.txt": "2 2 d\n1 2\n2 1\n", "l.json": _TWO_LABELS},
+             2, "Error: host labeling is not super edge-magic"),
+        _row("product-unreadable-assignment",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt"],
+             {"star.txt": _STAR, "a.txt": "1 x 0\n"},
+             2, "Error: bad assignment file a.txt: invalid literal for int() with base 10: 'x'"),
         _row("product-snk-bound", ["product", *_STAR_ARGS, "--snk", "6,2"], {"star.txt": _STAR},
              3, "family enumeration bound is n <= 5"),
         _row("product-snk-one-integer", ["product", *_STAR_ARGS, "--snk", "2"],

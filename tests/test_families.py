@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -139,6 +141,47 @@ class TestMixedLoopStars:
     def test_bad_param(self):
         with pytest.raises(BadParam):
             build_mixed_loop_stars(1, 1, 0)
+
+
+def _loop_star_grid():
+    """Criterion 1's loop-star grids, in its loop order."""
+    for n in range(1, 201):
+        yield build_two_lk11_lk1n(n)
+    for m in range(1, 51):
+        for n in range(1, 51):
+            yield build_two_lk1m_lk1n(m, n)
+    for s in range(0, 11):
+        for n in range(1, 21):
+            yield build_odd_copies_lk1n(s, n)
+    for s in range(1, 9):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                yield build_mixed_loop_stars(m, n, s)
+
+
+class TestPinnedLoopStarLabels:
+    """Every label of the loop-star constructors, pinned.  A slip in a
+    scheme's transcription that still verifies SEM changes these."""
+
+    def test_grid_digest(self):
+        digest = hashlib.sha256()
+        for cert in _loop_star_grid():
+            record = {"provenance": cert.provenance, "labels": list(cert.labeling.labels),
+                      "window": cert.window.as_pair()}
+            digest.update((json.dumps(record) + "\n").encode())
+        assert digest.hexdigest() == (
+            "c5a36771b03595e682f789817249895a8806eb10add3d1760a538285d57ddbe4"
+        )
+
+    @pytest.mark.parametrize("build, args, labels, window", [
+        # m-star [5, 10], n-stars [4, 9] and [6, 1], one-leaf stars [3, 8], [7, 2]
+        (build_mixed_loop_stars, (1, 1, 1), (5, 10, 4, 9, 6, 1, 3, 8, 7, 2), [6, 15]),
+        # [3, 6, 0, -2], [5, 2, -1, -3], [4, 1, 7], each shifted by 4
+        (build_two_lk1m_lk1n, (3, 2), (7, 10, 4, 2, 9, 6, 3, 1, 8, 5, 11), [9, 19]),
+    ], ids=["thm24(1,1,1)", "2lk1m-lk1n(3,2)"])
+    def test_full_vector(self, build, args, labels, window):
+        cert = build(*args)
+        assert (cert.labeling.labels, cert.window.as_pair()) == (labels, window)
 
 
 class TestDeer:

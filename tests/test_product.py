@@ -24,7 +24,7 @@ from semforge.graphs import (
     relabel_digraph,
     underlying,
 )
-from semforge.labelings import identity_labeling, is_sem
+from semforge.labelings import VertexLabeling, identity_labeling, is_sem
 from semforge.product import (
     LabeledFamily,
     canonical_product_labeling,
@@ -234,6 +234,13 @@ class TestCanonicalProductLabeling:
         )  # C4 is not SEM under any labeling, identity included
         with pytest.raises(NotSem):
             canonical_product_labeling(host, identity_labeling(4), S22)
+
+    def test_rejects_antiparallel_host(self):
+        # arcs (1,2) and (2,1) both sum to 3, but the underlying graph has
+        # one edge (1,2), on which labels [1, 2] are SEM
+        host = Digraph(2, {(1, 2), (2, 1)})
+        with pytest.raises(NotSem):
+            canonical_product_labeling(host, VertexLabeling((1, 2)), enumerate_snk(2, 3))
 
 
 class TestCoronaIso:

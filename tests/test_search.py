@@ -335,14 +335,24 @@ class TestCertify:
         with pytest.raises(ResourceLimit):
             certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND))
 
-    def test_sweep_script(self):
+    @staticmethod
+    def _sweep(max_order):
+        """The sweep script's lines, checked to cover orders 3..max_order with
+        every forest exhausted (no witness, no abort)."""
         script = Path(__file__).resolve().parent.parent / "scripts" / "certify_sweep.py"
-        out = subprocess.run([sys.executable, str(script), "--max-order", "12"],
+        out = subprocess.run([sys.executable, str(script), "--max-order", str(max_order)],
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        assert [line.split()[0] for line in lines] == [f"p={p}" for p in range(3, 13)]
+        assert [line.split()[0] for line in lines] == [f"p={p}" for p in range(3, max_order + 1)]
         assert not [line for line in lines if "witness" in line or "aborted" in line]
-        assert lines[-1].split()[2:4] == ["2l+lk19", "204"]
+        return lines
+
+    def test_sweep_script(self):
+        assert self._sweep(12)[-1].split()[2:4] == ["2l+lk19", "204"]
+
+    def test_sweep_script_to_the_certify_bound(self):
+        # backs the README's figure for the worst forest of order 24
+        assert self._sweep(24)[-1].split()[2:4] == ["2l+lk121", "1,899"]
 
 
 def _forests(max_order: int):
