@@ -265,10 +265,10 @@ def parse_assignment(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed assignment line: {raw!r}")
-        a, b, idx = (int(x) for x in parts)
+        try:  # three fields, each an int: unpacking raises ValueError too
+            a, b, idx = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"malformed assignment line: {raw!r}") from None
         if (a, b) in assignment:
             raise ValueError(f"duplicate assignment for arc ({a},{b}): {raw!r}")
         assignment[(a, b)] = idx

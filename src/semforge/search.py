@@ -17,7 +17,10 @@ independent code paths: an exhaustion certificate from the pruned tree can be
 cross-checked against plain enumeration at small orders, and the two must
 agree both on existence and on witness counts.  The census searches no
 class: it reads each class's SEM flag off the labeled graphs whose identity
-labeling is SEM, so its flags and ``find_sem`` are independent too.
+labeling is SEM, so its flags and ``find_sem`` are independent too.  Its
+orderly pass visits only canonical forms: a sweep before the pass marks
+every subset whose vertex 1 is not a centre of maximum degree, and each new
+class marks its images centred on such a centre.
 """
 
 from __future__ import annotations
@@ -554,46 +557,59 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     One orderly pass (Read 1978; McKay 1998) meets p-edge subsets in
     lexicographic order, so the first subset met of each class is its
     canonical form (minimum sorted edge list over all relabelings).  It is
-    appended with its SEM flag.  A canonical form contains (1,1), the
-    smallest pair, iff the class has a loop, and vertex 1's other
-    neighbours are {2..k+1} (k >= 1 if loopless), since moving them there in
-    order only shrinks the (1,x) prefix of the sorted edge list.
-    So the pass visits only subsets of that shape, and keeps one byte per
-    such subset: its shape's offset plus the rank of its tail (the edges
-    without vertex 1) among the tails of that shape.  It marks only the
-    relabelings that land on a shape: those sending a centre c (a looped
-    vertex, or any vertex with a neighbour if the class is loopless) to 1
-    and its other neighbours onto {2..d(c)+1}.  Each image is marked once
-    per automorphism orbit of centres and once per order of each twin class:
-    a centre whose first image is already marked lies in the orbit of an
+    appended with its SEM flag.  Here a vertex's degree is its number of
+    other neighbours, and a centre is a looped vertex, or any vertex if the
+    class is loopless.  A canonical form contains (1,1), the smallest pair,
+    iff the class has a loop.  Its vertex 1 is a centre of maximum degree k,
+    since a longer run of (1,x) pairs is smaller, and its other neighbours
+    are {2..k+1} (k >= 1 if loopless), since moving them there in order only
+    shrinks the (1,x) prefix of the sorted edge list.  So the pass meets only
+    subsets of such a shape (looped, k), and keeps one byte per such subset:
+    its shape's offset plus the rank of its tail (the edges without vertex 1)
+    among the tails of that shape.
+
+    Before the pass, one sweep per shape marks every subset in which another
+    centre has degree > k: each tail slot adds a packed degree increment to
+    its endpoints, and one guard bit per vertex fires past degree k.  The
+    pass jumps from one unmarked subset to the next, and each one it meets
+    is a new class.  The class marks its images that land on its shape:
+    those sending a centre c of degree k to 1 and its other neighbours onto
+    {2..k+1}.  Every other shaped image has a centre of degree > k off
+    vertex 1 and is already marked.  Each image is marked once per
+    automorphism orbit of centres and once per order of each twin class: a
+    centre whose first image is already marked lies in the orbit of an
     earlier centre and has the same images, and swapping two twins (same
     open neighbourhood and loop flag) fixes the image.
 
     No class is searched: the flags come from the labeled SEM graphs, those
     whose identity labeling is SEM (``_labeled_sem_edge_sets``).  Before the
-    pass, each one with a window s <= ⌊(p+3)/2⌋ is moved by one centre
-    relabeling onto a shaped image, and the image's rank keeps the labels
-    that make it SEM.  The complement x ↦ p+1-x maps window s onto window
-    p+3-s inside one class, so the other windows add no class.  A class is
-    SEM iff one of its graphs is a labeled SEM graph; its marking meets every
-    shaped image of the class, so it is SEM iff one of the ranks it marks is
-    kept.  The kept labels, moved back through the centre and block
-    relabelings that hit that rank, are re-verified by ``is_sem``.
-    ``budget.max_nodes`` bounds the subsets visited; ``budget.max_seconds``
-    the whole census, read at the first labeled SEM graph and at every
-    1024th after it, and every 1024 subsets.  Past either budget the census
-    raises ``ResourceLimit``, and so does p > 8 (order 8 takes about 6 s).
+    pass, each one with a window s <= ⌊(p+3)/2⌋ is moved by one relabeling,
+    centred on a centre of maximum degree, onto a shaped image, and the
+    image's rank keeps the labels that make it SEM.  The complement
+    x ↦ p+1-x maps window s onto window p+3-s inside one class, so the other
+    windows add no class.  A class is SEM iff one of its graphs is a labeled
+    SEM graph; its marking meets every image centred on a centre of maximum
+    degree, so it is SEM iff one of the ranks it marks is kept.  The kept
+    labels, moved back through the centre and block relabelings that hit
+    that rank, are re-verified by ``is_sem``.  The census raises
+    ``ResourceLimit`` before the pass if there are more shaped subsets than
+    ``budget.max_nodes``.  ``budget.max_seconds`` bounds the whole census,
+    read at the first labeled SEM graph and at every 1024th after it, after
+    each shape's sweep and at each new class.  Past it the census raises
+    ``ResourceLimit``, and so does p > 9 (order 9 takes about a minute).
     """
     if type(p) is not int:
         raise ValueError(f"census order must be an integer, got {p!r}")
-    if p > 8:
-        raise ResourceLimit("census bound is order <= 8")
+    if p > 9:
+        raise ResourceLimit("census bound is order <= 9")
     if p < 1:
-        raise ValueError(f"census supports 1 <= p <= 8, got {p}")
+        raise ValueError(f"census supports 1 <= p <= 9, got {p}")
     budget = budget or ResourceBudget()
     deadline = time.monotonic() + budget.max_seconds
     pool = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]
-    slot = {e: i for i, (u, v) in enumerate(pool) for e in ((u, v), (v, u))}
+    slot = [[0] * (p + 1) for _ in range(p + 1)]  # slot[u][v] = slot[v][u], (u,v)'s index
+    for i, (u, v) in enumerate(pool):
+        slot[u][v] = slot[v][u] = i
     n = len(pool)
     # shape (looped, k): head slots (1,1)?,(1,2),...,(1,k+1), a tail of the
     # r = p - |head| other slots from ``tails``, and C(m, r) bytes of the
@@ -608,33 +624,33 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             head = range(0 if looped else 1, k + 1)
             r = p - len(head)
             # tail positions x_0 < x_1 < ... have rank C(m, r) - 1 - Σ_i C(m-1-x_i, r-i);
-            # weights[i] gives that term for each slot of ``tails``
+            # weights[i] gives minus that term for each slot of ``tails``
             weights = [[0] * n for _ in range(r)]
             for i, w in enumerate(weights):
                 for x, t in enumerate(tails):
-                    w[t] = math.comb(m - 1 - x, r - i)
+                    w[t] = -math.comb(m - 1 - x, r - i)
             count = math.comb(m, r)
             shapes[looped, k] = head, tails, size, size + count - 1, weights
             size += count
     marks = bytearray(size)
     blocks: dict = {}  # d -> (_block_relabelings(p, d), their slot maps)
-    ascending: dict = {}  # (d, i, j) -> indices into blocks[d] of the f with f[i] < f[j]
+    ascending: dict = {}  # (d, i, j) -> mask: byte x is 1 iff blocks[d]'s x-th f has f[i] < f[j]
 
     def relabelings(d: int, pairs: list):
         """Slot maps of the block relabelings of centre degree d that keep
         f[i] < f[j] for every (i, j) in pairs."""
         if d not in blocks:
             fs = _block_relabelings(p, d)
-            blocks[d] = fs, [[slot[f[u], f[v]] for u, v in pool] for f in fs]
+            blocks[d] = fs, [[slot[f[u]][f[v]] for u, v in pool] for f in fs]
         fs, maps = blocks[d]
         if not pairs:
             return maps
-        keep = None
+        keep = -1
         for i, j in pairs:
             if (d, i, j) not in ascending:
-                ascending[d, i, j] = frozenset(x for x, f in enumerate(fs) if f[i] < f[j])
-            keep = ascending[d, i, j] if keep is None else keep & ascending[d, i, j]
-        return [maps[x] for x in keep]
+                ascending[d, i, j] = int.from_bytes(bytes(f[i] < f[j] for f in fs), "little")
+            keep &= ascending[d, i, j]
+        return list(itertools.compress(maps, keep.to_bytes(len(maps), "little")))
 
     def centred(edges, looped: bool, c: int, around) -> tuple:
         """Send c to 1, its other neighbours ``around`` onto {2..d+1} and the
@@ -644,79 +660,107 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
         rest = (v for v in range(1, p + 1) if v != c and v not in around)
         for i, v in enumerate([c, *sorted(around), *rest], 1):
             lab[v] = i
-        tail = [slot[lab[u], lab[v]] for u, v in edges if c != u and c != v]
+        tail = [slot[lab[u]][lab[v]] for u, v in edges if c != u and c != v]
         last, weights = shapes[looped, len(around)][3:]
-        return lab, tail, last - sum(map(list.__getitem__, weights, sorted(tail)))
+        return lab, tail, sum(map(list.__getitem__, weights, sorted(tail)), last)
 
     seeds: dict = {}  # rank of a shaped image -> the labels that make it SEM
     for i, edges in enumerate(_labeled_sem_edge_sets(p, range(2, (p + 3) // 2 + 1))):
         if i & 1023 == 0 and time.monotonic() > deadline:
             raise ResourceLimit("census wall-clock budget exhausted")
-        # a centre as ``mark`` takes one: a looped vertex, else any with a neighbour
+        # centred on a centre of maximum degree, as ``mark`` centres its images
+        deg = [0] * (p + 1)
+        for u, v in edges:
+            if u != v:
+                deg[u] += 1
+                deg[v] += 1
         loops = [u for u, v in edges if u == v]
-        c = loops[0] if loops else edges[0][0]
+        c = max(loops or range(1, p + 1), key=deg.__getitem__)
         around = {u + v - c for u, v in edges if c in (u, v) and u != v}
         lab, _, rank = centred(edges, bool(loops), c, around)
         # vertex lab[v] of the image carries label v
         seeds[rank] = bytes(sorted(range(1, p + 1), key=lab.__getitem__))
 
+    if size > budget.max_nodes:
+        raise ResourceLimit("census node budget exhausted")
+    # the sweep of shape (looped, k) gives each vertex v >= 2 a field of
+    # ``width`` bits at (v-2)*width that sums v's degree and a ``lift`` of
+    # top-k-1 if v is a centre (a loop lifts its vertex; in a loopless shape
+    # every field starts lifted), so the field's top bit, its guard, is set
+    # iff v is a centre of degree > k
+    width = p.bit_length() + 1
+    # top > p - 1 >= any degree, so an unlifted field stays below top and a
+    # lifted one below 2 top: fields never carry into each other
+    top = 1 << width - 1
+    bit = [0, 0] + [1 << (v - 2) * width for v in range(2, p + 1)]
+    guards = top * sum(bit)
+    for (looped, k), (head, tails, offset, last, _) in shapes.items():
+        lift = top - k - 1
+        steps = [lift * bit[u] if u == v else bit[u] + bit[v]
+                 for u, v in map(pool.__getitem__, tails)]
+        base = sum(bit[2 : k + 2]) + (0 if looped else lift * sum(bit))
+        sums = map(sum, itertools.combinations(steps, p - len(head)), itertools.repeat(base))
+        hits = map(bool, map(guards.__and__, sums))
+        # in slices of 1 MiB: order 9's largest shape would need a 30 MB temporary
+        for at in range(offset, last + 1, 1 << 20):
+            chunk = bytes(itertools.islice(hits, 1 << 20))
+            marks[at : at + len(chunk)] = chunk
+        if time.monotonic() > deadline:
+            raise ResourceLimit("census wall-clock budget exhausted")
+
     def mark(g: Graph, nbhd: tuple, looped: bool) -> list | None:
-        """Mark each image of the class that has the shape of a visited
-        subset; returns the labels of a SEM labeling of g read off a kept
+        """Mark each image of the class centred on a centre of maximum
+        degree; returns the labels of a SEM labeling of g read off a kept
         image, or None if no image is kept."""
         nbrs, loop = nbhd
+        k = len(nbrs[1])  # vertex 1 of a canonical form has maximum degree
+        last, weights = shapes[looped, k][3:]
         twins: dict = {}
         for v in range(1, p + 1):
             twins.setdefault((frozenset(nbrs[v]), loop[v]), []).append(v)
         witness = None
         for c in range(1, p + 1):
-            if not (loop[c] if looped else nbrs[c]):
+            if len(nbrs[c]) != k or looped and not loop[c]:
                 continue
             # the block relabelings of this base image give every image of its shape
             lab, tail, base = centred(g.edges, looped, c, nbrs[c])
             if marks[base]:
                 continue  # an earlier centre of c's orbit marked these images
-            d = len(nbrs[c])
-            last, weights = shapes[looped, d][3:]
             # twins other than c lie in one block and take ascending labels
             pairs = [
                 (lab[u], lab[w])
                 for cls in twins.values()
                 for u, w in itertools.pairwise([v for v in cls if v != c])
             ]
-            fs = relabelings(d, pairs)
-            ranks = [
-                last - sum(map(list.__getitem__, weights, sorted(map(f.__getitem__, tail))))
-                for f in fs
-            ]
+            fs = relabelings(k, pairs)
+            # itemgetter of one slot returns it bare, not in a tuple
+            take = operator.itemgetter(*tail) if len(tail) > 1 else lambda f: [f[t] for t in tail]
+            terms = map(map, itertools.repeat(list.__getitem__), itertools.repeat(weights),
+                        map(sorted, map(take, fs)))
+            ranks = list(map(sum, terms, itertools.repeat(last)))
             for r in ranks:
                 marks[r] = 1
             if witness is None and not seeds.keys().isdisjoint(ranks):
                 f, r = next((f, r) for f, r in zip(fs, ranks) if r in seeds)
                 labels = seeds[r]
                 # f maps slots, and sends vertex w where it sends the loop (w,w)
-                witness = [labels[pool[f[slot[w, w]]][0] - 1] for w in lab[1:]]
+                witness = [labels[pool[f[slot[w][w]]][0] - 1] for w in lab[1:]]
         return witness
 
     entries = []
-    visited = 0
-    for looped in (True, False):
-        for k in range(p - 1, -1 if looped else 0, -1):
-            head, tails, offset, _, _ = shapes[looped, k]
-            for i, tail in enumerate(itertools.combinations(tails, p - len(head)), offset):
-                if visited >= budget.max_nodes:
-                    raise ResourceLimit("census node budget exhausted")
-                if visited & 1023 == 1023 and time.monotonic() > deadline:
-                    raise ResourceLimit("census wall-clock budget exhausted")
-                visited += 1
-                if marks[i]:
-                    continue
-                g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
-                nbhd = _neighbourhoods(g)
-                witness = mark(g, nbhd, looped)
-                if witness is not None and not is_sem(g, VertexLabeling(tuple(witness)))[0]:
-                    raise RuntimeError("census read off a witness rejected by is_sem")
-                entries.append((g, witness is not None))
+    for (looped, _), (head, tails, offset, last, _) in shapes.items():
+        combos = itertools.combinations(tails, p - len(head))
+        at = offset  # index of the next subset of ``combos``
+        while (i := marks.find(0, at, last + 1)) >= 0:
+            if time.monotonic() > deadline:
+                raise ResourceLimit("census wall-clock budget exhausted")
+            tail = next(itertools.islice(combos, i - at, None))
+            at = i + 1
+            g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
+            witness = mark(g, _neighbourhoods(g), looped)
+            if witness is not None and not is_sem(g, VertexLabeling(tuple(witness)))[0]:
+                raise RuntimeError("census read off a witness rejected by is_sem")
+            entries.append((g, witness is not None))
     return entries
 
 

@@ -787,7 +787,7 @@ class TestExitCodeContract:
         _row("product-unreadable-assignment",
              ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt"],
              {"star.txt": _STAR, "a.txt": "1 x 0\n"},
-             2, "Error: bad assignment file a.txt: invalid literal for int() with base 10: 'x'"),
+             2, "Error: bad assignment file a.txt: malformed assignment line: '1 x 0'"),
         _row("product-snk-bound", ["product", *_STAR_ARGS, "--snk", "6,2"], {"star.txt": _STAR},
              3, "family enumeration bound is n <= 5"),
         _row("product-snk-one-integer", ["product", *_STAR_ARGS, "--snk", "2"],
@@ -800,8 +800,8 @@ class TestExitCodeContract:
              ["product", *_STAR_ARGS, "--snk", "2,2", "--member", "-1"], {"star.txt": _STAR},
              2, "Error: --member -1 is outside the family, which has 2 members"),
         _row("census-order-0", ["census", "--order", "0"], {},
-             2, "Error: census supports 1 <= p <= 8, got 0"),
-        _row("census-order-9", ["census", "--order", "9"], {}, 3, "census bound is order <= 8"),
+             2, "Error: census supports 1 <= p <= 9, got 0"),
+        _row("census-order-10", ["census", "--order", "10"], {}, 3, "census bound is order <= 9"),
         _row("census-negative-budget", ["census", "--order", "3", "--node-budget", "-1"], {},
              2, "Error: node budget must be an integer >= 0, got -1"),
         _row("census-zero-budget", ["census", "--order", "3", "--node-budget", "0"], {},

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -319,6 +320,11 @@ class TestFamilyIO:
             parse_assignment("1 2\n")
         with pytest.raises(ValueError):
             parse_assignment("1 2 0\n1 2 0\n")
+
+    @pytest.mark.parametrize("line", ["1 x 0", "1 2", "1 2 0 3", "1 2.0 0"])
+    def test_malformed_line_is_quoted(self, line):
+        with pytest.raises(ValueError, match=re.escape(f"malformed assignment line: {line!r}")):
+            parse_assignment(f"1 1 0\n{line}\n")
 
     @given(st.text(alphabet="012 -#x\n", max_size=30))
     def test_assignment_parses_or_rejects(self, text):

@@ -554,10 +554,16 @@ class TestCensus:
         k = sum(1 for u, v in form.edges if u == 1 and v != 1)
         assert {v for u, v in form.edges if u == 1 and v != 1} == set(range(2, k + 2))
         assert looped or k >= 1
+        # vertex 1 has maximum degree among the centres: the looped vertices,
+        # or every vertex if the class is loopless
+        degree = {v: sum(1 for e in form.edges if v in e and e[0] != e[1])
+                  for v in range(1, g.order + 1)}
+        centres = [v for v in degree if (v, v) in form.edges] if looped else list(degree)
+        assert degree[1] == k == max(degree[v] for v in centres)
 
     def test_order_bound(self):
-        with pytest.raises(ResourceLimit):
-            census_equal_order_size(9)
+        with pytest.raises(ResourceLimit, match="order <= 9"):
+            census_equal_order_size(10)
         for p in (0, -1):
             with pytest.raises(ValueError):
                 census_equal_order_size(p)
@@ -572,6 +578,18 @@ class TestCensus:
         assert len(census_equal_order_size(3, ResourceBudget(max_nodes=8))) == 6
         with pytest.raises(ResourceLimit):
             census_equal_order_size(3, ResourceBudget(max_nodes=7))
+
+    @pytest.mark.parametrize("p, subsets", [(5, 442), (6, 5_581)])
+    def test_node_budget_is_the_shaped_subset_count(self, p, subsets):
+        # looped shapes take r = 0..p-1 of the p(p-1)/2 slots (u,v) with
+        # 2 <= u <= v, loopless ones r = 1..p-1 of the C(p-1, 2) with u < v
+        looped = sum(math.comb(p * (p - 1) // 2, r) for r in range(p))
+        loopless = sum(math.comb(math.comb(p - 1, 2), r) for r in range(1, p))
+        assert looped + loopless == subsets
+        entries = census_equal_order_size(p, ResourceBudget(max_nodes=subsets))
+        assert entries == _census(p)
+        with pytest.raises(ResourceLimit, match="node budget"):
+            census_equal_order_size(p, ResourceBudget(max_nodes=subsets - 1))
 
     def test_wall_clock_budget(self):
         with pytest.raises(ResourceLimit):
@@ -592,6 +610,26 @@ class TestCensus:
             census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
         # order 3 visits 8 subsets, too few for the pass to read the clock
         assert len(reads) == 2
+
+    def test_every_clock_read_enforces_the_deadline(self, monkeypatch):
+        # order 3 reads the clock 13 times: once for the deadline, at the
+        # first labeled SEM graph, after each of the 5 shapes' sweeps and at
+        # each of the 6 classes; the deadline passing at any read is a limit
+        reads = []
+        late = math.inf
+
+        def monotonic():
+            reads.append(None)
+            return math.inf if len(reads) >= late else 0.0
+
+        monkeypatch.setattr("semforge.search.time", SimpleNamespace(monotonic=monotonic))
+        assert len(census_equal_order_size(3, ResourceBudget(max_seconds=50.0))) == 6
+        assert len(reads) == 13
+        for late in range(2, 14):
+            reads.clear()
+            with pytest.raises(ResourceLimit, match="wall-clock"):
+                census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
+            assert len(reads) == late
 
     @pytest.mark.parametrize("p", [2.0, "3", 8.5, True, None])
     def test_non_int_order_is_malformed(self, p):
