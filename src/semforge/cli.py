@@ -107,26 +107,35 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _load_graph(path: str) -> Graph:
-    """Read a graph; a digraph file is read straight into its underlying graph."""
+def _read(path: str, what: str, parse):
+    """``parse`` of the text of the file at ``path``; an unreadable file or a
+    ``ValueError`` from ``parse`` is a usage error that names the file."""
     try:
-        directed, p, pairs = _read_edge_list(Path(path).read_text())
-        try:
-            return Graph(p, pairs)
-        except ValueError:
-            if directed:
-                Digraph(p, pairs)  # raises with the digraph file's own message
-            raise
+        return parse(Path(path).read_text())
     except (ValueError, OSError) as exc:
-        raise click.UsageError(f"cannot read graph file {path}: {exc}")
+        raise click.UsageError(f"{what} {path}: {exc}")
+
+
+def _graph(text: str) -> Graph:
+    """The graph of a graph file's text; a digraph file's text gives its
+    underlying graph."""
+    directed, p, pairs = _read_edge_list(text)
+    del text  # a 20,000-pair text is freed before its graph is built
+    try:
+        return Graph(p, pairs)
+    except ValueError:
+        if directed:
+            Digraph(p, pairs)  # raises with the digraph file's own message
+        raise
+
+
+def _load_graph(path: str) -> Graph:
+    return _read(path, "cannot read graph file", _graph)
 
 
 def _load_digraph(path: str) -> Digraph:
     """Read a digraph; a graph file is given its indegree-1 orientation."""
-    try:
-        obj = parse_graph_or_digraph(Path(path).read_text())
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(f"cannot read digraph file {path}: {exc}")
+    obj = _read(path, "cannot read digraph file", parse_graph_or_digraph)
     if isinstance(obj, Digraph):
         return obj
     try:
@@ -138,19 +147,14 @@ def _load_digraph(path: str) -> Digraph:
 
 
 def _load_labeling(path: str) -> VertexLabeling:
-    try:
-        data = json.loads(Path(path).read_text())
-        return labeling_from_json(data)
-    except (ValueError, KeyError, OSError) as exc:
-        raise click.UsageError(f"bad labeling file {path}: {exc}")
+    return _read(path, "bad labeling file", lambda text: labeling_from_json(json.loads(text)))
 
 
-def _budget(node_budget: int | None, timeout: float | None) -> ResourceBudget:
-    default = ResourceBudget()
-    return ResourceBudget(
-        max_nodes=node_budget if node_budget is not None else default.max_nodes,
-        max_seconds=timeout if timeout is not None else default.max_seconds,
-    )
+def _budget_options(command):
+    """Declare ``--node-budget`` and ``--timeout``, with ``ResourceBudget``'s
+    defaults, for a command that passes them to ``ResourceBudget``."""
+    command = click.option("--timeout", type=float, default=ResourceBudget.max_seconds)(command)
+    return click.option("--node-budget", type=int, default=ResourceBudget.max_nodes)(command)
 
 
 def _labeling_report(g: Graph, labeling: VertexLabeling, out: str | None) -> None:
@@ -243,26 +247,24 @@ def verify(graph_path, labeling_path, out):
 @main.command("search")
 @click.option("--graph", "graph_path", required=True)
 @click.option("--mode", type=click.Choice(["first", "canonical", "all"]), default="first")
-@click.option("--node-budget", type=int, default=None)
-@click.option("--timeout", type=float, default=None)
+@_budget_options
 @click.option("--out", default=None)
 def search_cmd(graph_path, mode, node_budget, timeout, out):
     """Search for a super edge-magic labeling."""
     g = _load_graph(graph_path)
-    _report(search_mod.find_sem(g, mode, _budget(node_budget, timeout)), out)
+    _report(search_mod.find_sem(g, mode, ResourceBudget(node_budget, timeout)), out)
 
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--cross-check/--no-cross-check", default=False,
               help="Re-run unpruned enumeration at order <= 8 as a soundness check.")
-@click.option("--node-budget", type=int, default=None)
-@click.option("--timeout", type=float, default=None)
+@_budget_options
 @click.option("--out", default=None)
 def certify(graph_path, cross_check, node_budget, timeout, out):
     """Exhaust the search space; exit 1 reports a non-existence certificate."""
     g = _load_graph(graph_path)
-    budget = _budget(node_budget, timeout)
+    budget = ResourceBudget(node_budget, timeout)
     _report(search_mod.certify_not_sem(g, budget, cross_check=cross_check), out)
 
 
@@ -299,10 +301,7 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
                 f"--snk {n},{k}: no digraph on [1,{n}] has arc sums {k}..{k + n - 1}"
             )
     if assignment_path is not None:
-        try:
-            assignment = parse_assignment(Path(assignment_path).read_text())
-        except (ValueError, OSError) as exc:
-            raise click.UsageError(f"bad assignment file {assignment_path}: {exc}")
+        assignment = _read(assignment_path, "bad assignment file", parse_assignment)
     else:
         if not 0 <= member < len(family.members):
             raise click.UsageError(
@@ -320,12 +319,11 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
 
 @main.command()
 @click.option("--order", "order_", type=int, required=True)
-@click.option("--node-budget", type=int, default=None)
-@click.option("--timeout", type=float, default=None)
+@_budget_options
 @click.option("--out", default=None)
 def census(order_, node_budget, timeout, out):
     """Catalog equal order/size graphs up to isomorphism with their SEM status."""
-    entries = census_equal_order_size(order_, _budget(node_budget, timeout))
+    entries = census_equal_order_size(order_, ResourceBudget(node_budget, timeout))
     lines = [
         json.dumps({"p": g.order, "edges": [list(e) for e in g.sorted_edges], "sem": sem})
         for g, sem in entries
@@ -374,15 +372,14 @@ def matrix(graph_path, labeling_path, rotate, profile_, out):
 
 @main.command()
 @click.option("--params", default="", help="s=..,n=.. for the even copy count and leaves.")
-@click.option("--node-budget", type=int, default=None)
-@click.option("--timeout", type=float, default=None)
+@_budget_options
 @click.option("--out", default=None)
 def explore(params, node_budget, timeout, out):
     """Search an even number of loop-star copies and report the outcome as data."""
     values = _params_dict(params)
     if "s" not in values or "n" not in values:
         raise click.UsageError("explore needs --params s=..,n=..")
-    budget = _budget(node_budget, timeout)
+    budget = ResourceBudget(node_budget, timeout)
     _report(search_mod.explore_even_copies(values["s"], values["n"], budget), out)
 
 

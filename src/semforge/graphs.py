@@ -88,6 +88,24 @@ def _neighbourhoods(g: Graph) -> tuple[list, list]:
     return nbrs, loop
 
 
+def _degrees(nbhd: tuple) -> list:
+    """Degree of every vertex of a ``_neighbourhoods`` table; index 0 is
+    unused and a loop counts 2."""
+    nbrs, loop = nbhd
+    return [len(n) + 2 * lp for n, lp in zip(nbrs, loop)]
+
+
+def _twins(nbhd: tuple) -> list:
+    """The twin classes of a ``_neighbourhoods`` table, in order of their
+    smallest vertex: the ascending lists of the vertices with the same open
+    neighbourhood and loop flag.  Swapping two twins is an automorphism."""
+    nbrs, loop = nbhd
+    classes: dict = {}
+    for v in range(1, len(nbrs)):
+        classes.setdefault((frozenset(nbrs[v]), loop[v]), []).append(v)
+    return list(classes.values())
+
+
 def _components(adj: list):
     """Yield the connected components of the graph whose neighbours of v are
     ``adj[v]`` (index 0 unused), in order of their smallest vertex, each as
@@ -201,18 +219,8 @@ def indegree_one_orientation(g: Graph) -> Digraph:
     the output is deterministic and degree-1 vertices get outdegree 0.
     """
     n = g.order
-    edges = g.edges
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    loops = []
-    for u, v in edges:
-        if u == v:
-            loops.append(u)
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
-    deg = [len(nbrs) for nbrs in adj]  # a loop counts 2
-    for v in loops:
-        deg[v] += 2
+    adj, loop = nbhd = _neighbourhoods(g)
+    deg = _degrees(nbhd)
     # Components in order of their smallest vertex; each needs as many edges
     # as vertices, i.e. a degree sum of twice its vertex count.
     for comp in _components(adj):
@@ -244,7 +252,7 @@ def indegree_one_orientation(g: Graph) -> Digraph:
         if not deg[start]:
             continue
         deg[start] = 0
-        if (start, start) in edges:
+        if loop[start]:
             arcs.append((start, start))
             continue
         cur = min(u for u in adj[start] if deg[u])

@@ -243,6 +243,8 @@ def _labeling_object(g: Graph, labeling: VertexLabeling, ok: bool, window) -> di
 def labeling_from_json(data: dict) -> VertexLabeling:
     if not isinstance(data, dict):
         raise ValueError(f"a labeling is a JSON object, got {type(data).__name__}")
+    if "labels" not in data:
+        raise ValueError("missing key 'labels'")
     labels = data["labels"]
     if not isinstance(labels, list):
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")

@@ -2,15 +2,16 @@
 non-existence certification, family enumeration, and small censuses.
 
 The SEM search (``_sem_backtrack``) is one core behind ``find_sem`` and
-``certify_not_sem``.  It anchors the window of induced sums: the
-consecutive-sums identity confines the minimum sum s to a short range, and a
-partial labeling dies as soon as its sums fit no window [s, s+q-1] with s in
-that range.  The same identity, bounded by the degrees of the
-vertices still unplaced, narrows that range again at every depth.  Once the
-range is a single s, every sum of the window not yet made needs an edge still
-open that can make it, or the partial labeling dies.  Outside ``all`` mode
-the search also breaks the symmetry of twin vertices and of the complement
-labeling.
+``certify_not_sem``; it takes only the graph, the mode and the budget, and
+builds every table it reads from the graph.  It anchors the window of
+induced sums: the consecutive-sums identity confines the minimum sum s to a
+short range, and a partial labeling dies as soon as its sums fit no window
+[s, s+q-1] with s in that range.  The same identity, bounded by the degrees
+of the vertices still unplaced, narrows that range again at every depth.
+Once the range is a single s, every sum of the window not yet made needs an
+edge still open that can make it, or the partial labeling dies.  Outside
+``all`` mode the search also breaks the symmetry of twin vertices and of the
+complement labeling.
 
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimit
 from .families import star_with_loop
-from .graphs import Digraph, Graph, _neighbourhoods, disjoint_union
+from .graphs import Digraph, Graph, _degrees, _neighbourhoods, _twins, disjoint_union
 from .labelings import VertexLabeling, is_sem
 from .product import LabeledFamily
 
@@ -51,9 +52,10 @@ DEFAULT_NODE_BUDGET = 10**9
 @dataclass(frozen=True)
 class ResourceBudget:
     """Limits of one search or census: an ``int`` count of nodes and a real
-    number of seconds, neither negative.  Zero aborts at once and
-    ``math.inf`` seconds sets no deadline; NaN is rejected, since no clock
-    reading ever exceeds it."""
+    number of seconds, neither negative.  Zero aborts at once: a search
+    reads the clock at its first node and every 1024th, and a census at its
+    first labeled SEM graph.  ``math.inf`` seconds sets no deadline; NaN is
+    rejected, since no clock reading ever exceeds it."""
 
     max_nodes: int = DEFAULT_NODE_BUDGET
     max_seconds: float = 300.0
@@ -105,13 +107,6 @@ def report_json(report: SearchReport) -> dict:
 
 class _Abort(Exception):
     pass
-
-
-def _degrees(g: Graph, nbhd: tuple | None = None) -> list:
-    """Degree of every vertex from ``_neighbourhoods(g)``, or from ``nbhd``
-    when it is already built; index 0 is unused and a loop counts 2."""
-    nbrs, loop = nbhd or _neighbourhoods(g)
-    return [len(n) + 2 * lp for n, lp in zip(nbrs, loop)]
 
 
 def _sum_starts(deg: list, p: int, q: int) -> range:
@@ -182,19 +177,14 @@ def _order_tables(nbhd: tuple, verts: list) -> tuple:
     return rows, front, pair_until, loop_until
 
 
-def _sem_backtrack(
-    g: Graph,
-    nbhd: tuple,
-    verts: list,
-    deg: list,
-    mode: str,
-    max_nodes: int,
-    deadline: float,
-):
+def _sem_backtrack(g: Graph, mode: str, max_nodes: int, deadline: float):
     """Depth-first search over bijections inside the anchored windows.
 
-    Labels are placed on ``verts`` in order, with the ``_order_tables`` of
-    that order.  A label is stored before its row is read, so a loop's sum
+    The search builds the ``_neighbourhoods`` table of g and reads off it
+    the degrees, the variable order of ``mode`` (``_variable_order``), that
+    order's ``_order_tables`` and the ``_twins`` classes; it needs nothing
+    else from its caller.  Labels are placed on the vertices in that order.
+    A label is stored before its row is read, so a loop's sum
     2·f(u) is checked like every other closed edge's sum.  The search
     carries the range [a, b] of minimum sums s whose window [s, s+q-1] can
     still hold every closed edge's sum: it starts as ``_sum_starts``, each
@@ -247,25 +237,26 @@ def _sem_backtrack(
     Returns ``(status, witnesses, nodes)`` where status is
     WITNESS/EXHAUSTED/ABORTED and ``nodes`` counts the labels tried, a label
     that the support rule kills included; the search aborts at node
-    ``max_nodes + 1`` or, read every 1024 nodes, once the clock passes
-    ``deadline``.
+    ``max_nodes + 1`` or, read at the first node and every 1024th, once the
+    clock passes ``deadline``.
     """
     p, q = g.order, g.size
+    nbhd = _neighbourhoods(g)
+    deg = _degrees(nbhd)
     starts = _sum_starts(deg, p, q)
     if not starts:
         return EXHAUSTED, [], 0
+    verts = _variable_order(deg, mode)
     rows, front, pair_until, loop_until = _order_tables(nbhd, verts)
     collect_all = mode == "all"
     label_bits = (2 << p) - 2  # bit y for each label y in 1..p
     first_top = label_bits if collect_all else (2 << (p + 1) // 2) - 2  # 1..⌈p/2⌉
-    twin_prev = [-1] * p
+    twin_prev = [-1] * p  # the position of the previous twin, or -1
     if not collect_all:
-        nbrs, loop = nbhd
-        last: dict = {}
-        for t, v in enumerate(verts):
-            key = (frozenset(nbrs[v]), loop[v])
-            twin_prev[t] = last.get(key, -1)
-            last[key] = t
+        pos = {v: t for t, v in enumerate(verts)}
+        for cls in _twins(nbhd):
+            for u, w in itertools.pairwise(cls):
+                twin_prev[pos[w]] = pos[u]
     dv, dmin, dmax = _degree_tables(deg, verts)
     degree_bound = q > 0 and dmin[0] != dmax[0]  # a regular graph always meets it
     base = q * (q - 1) // 2
@@ -274,9 +265,9 @@ def _sem_backtrack(
     assigned = [0] * p
     witnesses: list[VertexLabeling] = []
     nodes = 0
-    # the next node count to test: max_nodes + 1 aborts, and every multiple
-    # of 1024 reads the clock
-    check = min(max_nodes + 1, 1024)
+    # the next node count to test: max_nodes + 1 aborts, and node 1 and
+    # every multiple of 1024 read the clock
+    check = 1
     span = q - 1
 
     def extend(t: int, a: int, b: int, placed: int, unused: int, sums: int, free: int,
@@ -405,13 +396,8 @@ def find_sem(
         raise ValueError(f"unknown mode {mode!r}")
     budget = budget or ResourceBudget()
     _check_order_bound(g.order, mode)
-    nbhd = _neighbourhoods(g)
     start = time.monotonic()
-    deg = _degrees(g, nbhd)
-    verts = _variable_order(deg, mode)
-    status, wits, nodes = _sem_backtrack(
-        g, nbhd, verts, deg, mode, budget.max_nodes, start + budget.max_seconds
-    )
+    status, wits, nodes = _sem_backtrack(g, mode, budget.max_nodes, start + budget.max_seconds)
     for w in wits:
         ok, _ = is_sem(g, w)
         if not ok:
@@ -708,16 +694,14 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
         if time.monotonic() > deadline:
             raise ResourceLimit("census wall-clock budget exhausted")
 
-    def mark(g: Graph, nbhd: tuple, looped: bool) -> list | None:
+    def mark(g: Graph, looped: bool) -> list | None:
         """Mark each image of the class centred on a centre of maximum
         degree; returns the labels of a SEM labeling of g read off a kept
         image, or None if no image is kept."""
-        nbrs, loop = nbhd
+        nbrs, loop = nbhd = _neighbourhoods(g)
         k = len(nbrs[1])  # vertex 1 of a canonical form has maximum degree
         last, weights = shapes[looped, k][3:]
-        twins: dict = {}
-        for v in range(1, p + 1):
-            twins.setdefault((frozenset(nbrs[v]), loop[v]), []).append(v)
+        twins = _twins(nbhd)
         witness = None
         for c in range(1, p + 1):
             if len(nbrs[c]) != k or looped and not loop[c]:
@@ -729,7 +713,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             # twins other than c lie in one block and take ascending labels
             pairs = [
                 (lab[u], lab[w])
-                for cls in twins.values()
+                for cls in twins
                 for u, w in itertools.pairwise([v for v in cls if v != c])
             ]
             fs = relabelings(k, pairs)
@@ -757,7 +741,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             tail = next(itertools.islice(combos, i - at, None))
             at = i + 1
             g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
-            witness = mark(g, _neighbourhoods(g), looped)
+            witness = mark(g, looped)
             if witness is not None and not is_sem(g, VertexLabeling(tuple(witness)))[0]:
                 raise RuntimeError("census read off a witness rejected by is_sem")
             entries.append((g, witness is not None))

@@ -669,6 +669,11 @@ class TestBudgetOptions:
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("command", ["search", "certify", "census", "explore"])
+    def test_zero_timeout_aborts(self, runner, commands, command):
+        result = runner.invoke(main, commands[command] + ["--timeout", "0"])
+        assert result.exit_code == 3
+
+    @pytest.mark.parametrize("command", ["search", "certify", "census", "explore"])
     def test_infinite_timeout_runs(self, runner, commands, command):
         result = runner.invoke(main, commands[command] + ["--timeout", "inf"])
         assert result.exit_code in (0, 1)
@@ -721,6 +726,9 @@ class TestExitCodeContract:
         _row("verify-string-p", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
              {"star.txt": _STAR, "l.json": '{"labels": [1, 2, 3], "p": "3"}'},
              2, "Error: bad labeling file l.json: labeling claims p='3' but carries 3 labels"),
+        _row("verify-labeling-without-labels", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": '{"p": 3}'},
+             2, "Error: bad labeling file l.json: missing key 'labels'"),
         _row("verify-not-sem", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
              {"g.txt": _TWO_LOOPS, "l.json": _TWO_LABELS},
              1, '{"p": 2, "labels": [1, 2], "sem": false, "window": null, "magic_sum": null}'),

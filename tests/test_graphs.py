@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -11,6 +12,9 @@ from semforge.graphs import (
     AdjacencyMatrix,
     Digraph,
     Graph,
+    _degrees,
+    _neighbourhoods,
+    _twins,
     adjacency_matrix,
     canonical_form,
     corona,
@@ -27,7 +31,6 @@ from semforge.graphs import (
     union_offsets,
 )
 from semforge.families import caterpillar_graph, cycle_graph, loop_graph, star_with_loop
-from semforge.search import _degrees
 
 from conftest import (
     all_possible_edges,
@@ -155,9 +158,26 @@ class TestConstruction:
             Digraph(3, [(9, 9), (2, 8), (9, 1), (0, 3)])
 
     def test_degree_counts_loops_twice(self):
-        deg = _degrees(star_with_loop(2))
+        deg = _degrees(_neighbourhoods(star_with_loop(2)))
         assert deg[1] == 4
         assert deg[2] == deg[3] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda p: st.sets(st.sampled_from(all_possible_edges(p)), max_size=2 * p)
+        .map(lambda edges: Graph(p, frozenset(edges)))
+    ))
+    def test_twins_partition_and_swap(self, g):
+        classes = _twins(_neighbourhoods(g))
+        # ascending lists, in order of their smallest vertex, covering 1..p once
+        assert all(cls == sorted(cls) for cls in classes)
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+        assert sorted(v for cls in classes for v in cls) == list(range(1, g.order + 1))
+        for cls in classes:
+            for u, w in itertools.combinations(cls, 2):
+                swap = {u: w, w: u}
+                moved = Graph(g.order, [(swap.get(a, a), swap.get(b, b)) for a, b in g.edges])
+                assert moved.edges == g.edges
 
     def test_components(self):
         g = disjoint_union([star_with_loop(1), loop_graph()])

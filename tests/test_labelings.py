@@ -305,6 +305,6 @@ class TestLabelingJson:
     def test_from_json_parses_or_rejects(self, data):
         try:
             lab = labeling_from_json(data)
-        except (ValueError, KeyError):
+        except ValueError:
             return
         assert sorted(lab.labels) == list(range(1, lab.order + 1))

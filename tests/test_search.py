@@ -31,7 +31,6 @@ from semforge.search import (
     ResourceBudget,
     _degree_tables,
     _labeled_sem_edge_sets,
-    _degrees,
     _order_tables,
     _sum_starts,
     _variable_order,
@@ -45,7 +44,7 @@ from semforge.search import (
     report_json,
     sem_bijections,
 )
-from semforge.graphs import _neighbourhoods, indegree_one_orientation, underlying
+from semforge.graphs import _degrees, _neighbourhoods, _twins, indegree_one_orientation, underlying
 
 from conftest import (
     all_possible_edges,
@@ -105,6 +104,21 @@ class TestFindSem:
     def test_node_budget_aborts(self):
         report = find_sem(TWO_STARS, budget=ResourceBudget(max_nodes=3))
         assert report.outcome == ABORTED
+
+    def test_one_neighbourhood_build_per_call(self, monkeypatch):
+        # the search core builds the one table it reads; find_sem builds none
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return _neighbourhoods(g)
+
+        monkeypatch.setattr("semforge.search._neighbourhoods", counted)
+        graphs = [TWO_STARS, star_with_loop(3), cycle_graph(5)]
+        for g in graphs:
+            for mode in ("first", "canonical", "all"):
+                find_sem(g, mode)
+        assert built == [g for g in graphs for _ in range(3)]
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -179,11 +193,11 @@ class TestSumWindow:
     @pytest.mark.parametrize("k", [3, 5, 9, 23])
     def test_odd_cycle_window_is_forced(self, k):
         s = (k + 3) // 2
-        assert _sum_starts(_degrees(cycle_graph(k)), k, k) == range(s, s + 1)
+        assert _sum_starts(_degrees(_neighbourhoods(cycle_graph(k))), k, k) == range(s, s + 1)
 
     def test_too_many_edges_leave_no_window(self):
         g = Graph(3, all_possible_edges(3))  # q = 6 > 2p - 1 = 5
-        assert len(_sum_starts(_degrees(g), 3, 6)) == 0
+        assert len(_sum_starts(_degrees(_neighbourhoods(g)), 3, 6)) == 0
         for mode in ("first", "canonical", "all"):
             report = find_sem(g, mode)
             assert (report.outcome, report.nodes) == (EXHAUSTED, 0)
@@ -195,7 +209,7 @@ _SMALL = st.integers(2, 7).flatmap(
                        max_size=p + 1, unique=True)
     .map(lambda edges: Graph(p, frozenset(edges)))
 )
-_IRREGULAR = _SMALL.filter(lambda g: len(set(_degrees(g)[1:])) > 1)
+_IRREGULAR = _SMALL.filter(lambda g: len(set(_degrees(_neighbourhoods(g))[1:])) > 1)
 
 
 class TestDegreeSumBound:
@@ -214,7 +228,7 @@ class TestDegreeSumBound:
     @given(_IRREGULAR)
     def test_every_witness_prefix_meets_the_bound(self, g):
         p, q = g.order, g.size
-        deg = _degrees(g)
+        deg = _degrees(_neighbourhoods(g))
         verts = _variable_order(deg, "first")
         dv, dmin, dmax = _degree_tables(deg, verts)
         for labels in sem_bijections(g):
@@ -247,7 +261,7 @@ class TestSupport:
     def test_every_witness_prefix_has_supports(self, g):
         p, q = g.order, g.size
         nbhd = _neighbourhoods(g)
-        verts = _variable_order(_degrees(g, nbhd), "first")
+        verts = _variable_order(_degrees(nbhd), "first")
         rows, front, pair_until, loop_until = _order_tables(nbhd, verts)
         for labels in sem_bijections(g):
             f = [labels[v - 1] for v in verts]  # the label of each position
