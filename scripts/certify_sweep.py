@@ -4,11 +4,13 @@
 
 For each order p the sweep searches every split lk1m+lk1n with m+n+2 = p
 and 1 <= m <= n, plus l+lk1n and 2l+lk1n of order p, each under a cap of
-20,000,000 nodes.  The search is the one ``certify_not_sem`` runs
-(``find_sem`` in ``first`` mode), called directly so that orders above
-``DEFAULT_CERTIFY_BOUND`` can be measured.  It prints one line per order:
-the instance that took the most nodes, its node count and CPU seconds, and
-how many instances were exhausted, had a witness or aborted.
+20,000,000 nodes and no deadline.  The search is the one ``certify_not_sem``
+runs (``_sem_backtrack`` in ``first`` mode), called directly rather than
+through ``find_sem`` and its order bounds, so that orders above
+``DEFAULT_CERTIFY_BOUND`` can be measured; each witness is re-verified by
+``verified_window``.  It prints one line per order: the instance that took
+the most nodes, its node count and CPU seconds, and how many instances were
+exhausted, had a witness or aborted.
 ``DEFAULT_CERTIFY_BOUND`` is the largest order whose worst case takes at
 most 10 CPU seconds, capped at the first-mode order bound of ``find_sem``
 (24), which is also the default ``--max-order``.
@@ -20,6 +22,7 @@ Run it from the root of a source checkout; it imports ``semforge`` from
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections import Counter
@@ -29,7 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from semforge.families import loop_graph, star_with_loop  # noqa: E402
 from semforge.graphs import disjoint_union  # noqa: E402
-from semforge.search import ResourceBudget, find_sem  # noqa: E402
+from semforge.labelings import verified_window  # noqa: E402
+from semforge.search import _sem_backtrack  # noqa: E402
 
 NODE_CAP = 20_000_000
 
@@ -51,17 +55,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.min_order < 3:
         parser.error("the smallest union in the sweep, l+lk11, has order 3")
-    budget = ResourceBudget(max_nodes=NODE_CAP, max_seconds=float("inf"))
     for p in range(args.min_order, args.max_order + 1):
         outcomes = Counter()
         worst = None
         for tag, g in instances(p):
             start = time.process_time()
-            report = find_sem(g, "first", budget)
+            outcome, witnesses, nodes = _sem_backtrack(g, "first", NODE_CAP, math.inf)
+            for w in witnesses:
+                verified_window(g, w, f"witness of {tag}")
             seconds = time.process_time() - start
-            outcomes[report.outcome] += 1
-            if worst is None or report.nodes > worst[1]:
-                worst = (tag, report.nodes, seconds)
+            outcomes[outcome] += 1
+            if worst is None or nodes > worst[1]:
+                worst = (tag, nodes, seconds)
         tag, nodes, seconds = worst
         counts = ", ".join(f"{n} {outcome}" for outcome, n in sorted(outcomes.items()))
         print(f"p={p:<3} worst {tag:14} {nodes:>12,} nodes {seconds:7.2f} s   ({counts})",

@@ -8,7 +8,6 @@ exhaustive search with cross-checkable non-existence certificates.
 from .errors import (
     BadAssignment,
     BadParam,
-    LabelingFailed,
     NoSuchOrientation,
     NotSem,
     ResourceLimit,
@@ -87,7 +86,6 @@ from .search import (
     enumerate_snk,
     exhaustive_sem_search,
     explore_even_copies,
-    feasible_sum_starts,
     find_sem,
     report_json,
 )

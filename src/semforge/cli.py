@@ -15,14 +15,7 @@ from pathlib import Path
 import click
 
 from . import search as search_mod
-from .errors import (
-    BadAssignment,
-    LabelingFailed,
-    NoSuchOrientation,
-    NotSem,
-    ResourceLimit,
-    VerificationFailed,
-)
+from .errors import NoSuchOrientation, ResourceLimit
 from .families import CertifiedLabeledGraph, construct_family
 from .graphs import (
     Digraph,
@@ -39,7 +32,6 @@ from .labelings import (
     certificate_json,
     complement,
     counterdiagonal_profile,
-    is_sem,
     labeling_from_json,
     labeling_json,
     rotate_pi,
@@ -174,12 +166,12 @@ class _Command(click.Command):
     """Keeps every ending inside the exit-code contract.
 
     A command that returns exits 0.  Click's exceptions and ``sys.exit`` pass
-    through.  ``ResourceLimit`` exits 3 and ``VerificationFailed`` exits 1,
-    each with its message on stderr.  ``ValueError`` (``BadParam`` too),
-    ``BadAssignment``, ``NotSem`` and ``LabelingFailed`` are malformed input:
-    a usage error, exit 2.  Any other exception is an internal error, printed
-    as ``error: <Type>: <message>``; it exits 2 so it can never read as a
-    witness (0) or a negative result (1).
+    through.  ``ResourceLimit`` exits 3 with its message on stderr.
+    ``ValueError`` (``BadParam``, ``BadAssignment`` and ``NotSem`` too) is
+    malformed input: a usage error, exit 2.  Any other exception, a failed
+    self-check (``VerificationFailed``) among them, is an internal error,
+    printed as ``error: <Type>: <message>``; it exits 2 so it can never read
+    as a witness (0) or a negative result (1).
     """
 
     def invoke(self, ctx):
@@ -190,10 +182,7 @@ class _Command(click.Command):
         except ResourceLimit as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_LIMIT)
-        except VerificationFailed as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_NEGATIVE)
-        except (ValueError, BadAssignment, NotSem, LabelingFailed) as exc:
+        except ValueError as exc:
             raise click.UsageError(str(exc), ctx)
         except Exception as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A ``ValueError`` is
+malformed input; ``VerificationFailed`` is a failed self-check."""
 
 
 class SemforgeError(Exception):
@@ -13,7 +14,7 @@ class ResourceLimit(SemforgeError):
     """A node, order, or wall-clock budget ran out before an answer was reached."""
 
 
-class NotSem(SemforgeError):
+class NotSem(SemforgeError, ValueError):
     """A labeling required to be super edge-magic is not."""
 
 
@@ -21,16 +22,12 @@ class BadParam(SemforgeError, ValueError):
     """A constructor parameter is outside its admissible range."""
 
 
-class LabelingFailed(SemforgeError):
-    """A constructor whose labeling scheme should always verify produced a
-    labeling that failed verification; suspect a transcription mistake in the
-    scheme rather than a property of the input."""
-
-
-class BadAssignment(SemforgeError):
+class BadAssignment(SemforgeError, ValueError):
     """An arc-to-member assignment does not name exactly the arcs of the host
     digraph, or maps an arc to a member the family lacks."""
 
 
-class VerificationFailed(SemforgeError):
-    """A labeling guaranteed by construction failed the runtime verifier."""
+class VerificationFailed(SemforgeError, RuntimeError):
+    """A labeling guaranteed by construction or by search failed the runtime
+    verifier, or two independent searches disagree: suspect the code, not
+    the input."""

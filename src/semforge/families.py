@@ -2,9 +2,10 @@
 
 Every constructor builds both the graph and the vertex labeling of its
 construction scheme, re-verifies the labeling, and returns a
-``CertifiedLabeledGraph``.  A verification failure raises ``LabelingFailed``:
-the schemes are supposed to work for every admissible parameter, so a red
-verifier points at a transcription mistake, not at the input.
+``CertifiedLabeledGraph``.  A verification failure raises
+``VerificationFailed``: the schemes are supposed to work for every admissible
+parameter, so a red verifier points at a transcription mistake, not at the
+input.
 
 Component layout convention: components are numbered in the order the family
 name lists them, each component holding its center first and then its leaves,
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import BadParam, LabelingFailed
+from .errors import BadParam
 from .graphs import Graph, disjoint_union
-from .labelings import SumWindow, VertexLabeling, is_sem
+from .labelings import SumWindow, VertexLabeling, verified_window
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,7 @@ class CertifiedLabeledGraph:
 
 def _certify(graph: Graph, labels: Sequence[int], provenance: str) -> CertifiedLabeledGraph:
     labeling = VertexLabeling(tuple(labels))
-    ok, window = is_sem(graph, labeling)
-    if not ok or window is None:
-        raise LabelingFailed(
-            f"{provenance}: constructed labeling failed verification "
-            "(suspected transcription mismatch in the labeling scheme)"
-        )
+    window = verified_window(graph, labeling, f"{provenance}: constructed labeling")
     return CertifiedLabeledGraph(graph, labeling, window, provenance)
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import NotSem
+from .errors import NotSem, VerificationFailed
 from .graphs import AdjacencyMatrix, Graph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,6 +128,19 @@ def is_sem(g: Graph, labeling: VertexLabeling):
     if hi - lo + 1 == q and len(set(sums)) == q:
         return True, SumWindow(lo, q)
     return False, None
+
+
+def verified_window(g: Graph, labeling: VertexLabeling, what: str) -> SumWindow | None:
+    """The window of a labeling that the code guarantees to be SEM on g.
+
+    The self-check of every constructed, lifted or searched labeling: raises
+    ``VerificationFailed`` if ``is_sem`` rejects it, since that is a fault
+    in the code, not a property of g.
+    """
+    ok, window = is_sem(g, labeling)
+    if not ok:
+        raise VerificationFailed(f"{what} rejected by is_sem")
+    return window
 
 
 def complement(labeling: VertexLabeling) -> VertexLabeling:

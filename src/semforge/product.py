@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import BadAssignment, BadParam, NotSem, VerificationFailed
+from .errors import BadAssignment, BadParam, NotSem
 from .families import (
     CertifiedLabeledGraph,
     construct_family,
@@ -26,7 +26,6 @@ from .families import (
 from .graphs import (
     Arc,
     Digraph,
-    Graph,
     corona,
     format_digraph,
     indegree_one_orientation,
@@ -35,7 +34,7 @@ from .graphs import (
     relabel_digraph,
     underlying,
 )
-from .labelings import VertexLabeling, is_sem
+from .labelings import VertexLabeling, is_sem, verified_window
 
 
 @dataclass(frozen=True)
@@ -164,11 +163,7 @@ def lift_to_product(
     labeling = VertexLabeling(
         tuple([n * (f - 1) + i for f in host_labeling.labels for i in range(1, n + 1)])
     )
-    ok, window = is_sem(product, labeling)
-    if not ok:
-        raise VerificationFailed(
-            "block labeling of the product failed the SEM verifier"
-        )
+    window = verified_window(product, labeling, "block labeling of the product")
     return CertifiedLabeledGraph(product, labeling, window, "otimes_h block labeling")
 
 

@@ -32,10 +32,10 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationFailed
 from .families import star_with_loop
 from .graphs import Digraph, Graph, _degrees, _neighbourhoods, _twins, disjoint_union
-from .labelings import VertexLabeling, is_sem
+from .labelings import VertexLabeling, verified_window
 from .product import LabeledFamily
 
 WITNESS = "witness"
@@ -390,7 +390,7 @@ def find_sem(
     (loops pin 2g(u), so centers go early), plain index order for
     ``canonical`` and ``all`` so the first witness found is the
     lexicographically smallest labeling vector.  Every witness is
-    re-verified with ``is_sem`` before it is reported.
+    re-verified by ``verified_window`` before it is reported.
     """
     if mode not in ("first", "canonical", "all"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -399,9 +399,7 @@ def find_sem(
     start = time.monotonic()
     status, wits, nodes = _sem_backtrack(g, mode, budget.max_nodes, start + budget.max_seconds)
     for w in wits:
-        ok, _ = is_sem(g, w)
-        if not ok:
-            raise RuntimeError("searcher produced a witness rejected by is_sem")
+        verified_window(g, w, "search witness")
     elapsed = time.monotonic() - start
     witness = wits[0] if wits else None
     return SearchReport(
@@ -464,8 +462,8 @@ def certify_not_sem(
     """Exhaust the pruned search; an exhausted outcome certifies non-existence.
 
     With ``cross_check`` and order at most 8, the result is compared against
-    the unpruned enumerator; disagreement means the pruning is unsound and is
-    raised loudly instead of returned.
+    the unpruned enumerator; disagreement means the pruning is unsound and
+    raises ``VerificationFailed`` instead of returning.
     """
     if g.order > DEFAULT_CERTIFY_BOUND:
         raise ResourceLimit(
@@ -475,16 +473,11 @@ def certify_not_sem(
     if cross_check and g.order <= 8 and report.outcome != ABORTED:
         count, _ = exhaustive_sem_search(g)
         if (count > 0) != (report.outcome == WITNESS):
-            raise RuntimeError(
+            raise VerificationFailed(
                 "pruned search disagrees with exhaustive enumeration on "
                 f"a graph of order {g.order}: pruning is unsound"
             )
     return report
-
-
-def feasible_sum_starts(n: int) -> range:
-    """Minimum induced sums k for which digraphs of order and size n exist."""
-    return range(2, n + 2)
 
 
 def enumerate_snk(n: int, k: int) -> LabeledFamily:
@@ -492,18 +485,15 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
 
     One arc must realise each sum in the run, and arcs with distinct sums are
     distinct, so the family is exactly the product of the per-sum arc choices.
-    Members come out in lexicographic order of those choices.
+    Members come out in lexicographic order of those choices.  The family is
+    non-empty exactly for 2 <= k <= n+1: every sum lies in [2, 2n].
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > SNK_ORDER_BOUND:
         raise ResourceLimit(f"family enumeration bound is n <= {SNK_ORDER_BOUND}")
-    choices = []
-    for s in range(k, k + n):
-        arcs = [(i, s - i) for i in range(max(1, s - n), min(n, s - 1) + 1)]
-        choices.append(sorted(arcs))
-    if any(not arcs for arcs in choices):
-        return LabeledFamily(n, k, ())
+    choices = [[(i, s - i) for i in range(max(1, s - n), min(n, s - 1) + 1)]
+               for s in range(k, k + n)]
     members = tuple(
         Digraph(n, frozenset(combo)) for combo in itertools.product(*choices)
     )
@@ -577,11 +567,12 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     SEM graph; its marking meets every image centred on a centre of maximum
     degree, so it is SEM iff one of the ranks it marks is kept.  The kept
     labels, moved back through the centre and block relabelings that hit
-    that rank, are re-verified by ``is_sem``.  The census raises
-    ``ResourceLimit`` before the pass if there are more shaped subsets than
-    ``budget.max_nodes``.  ``budget.max_seconds`` bounds the whole census,
-    read at the first labeled SEM graph and at every 1024th after it, after
-    each shape's sweep and at each new class.  Past it the census raises
+    that rank, are re-verified by ``verified_window``.  The census raises
+    ``ResourceLimit`` before it lists the labeled SEM graphs or allocates
+    its table if there are more shaped subsets than ``budget.max_nodes``.
+    ``budget.max_seconds`` bounds the whole census, read at the first
+    labeled SEM graph and at every 1024th after it, after each shape's sweep
+    and at each new class.  Past it the census raises
     ``ResourceLimit``, and so does p > 9 (order 9 takes about a minute).
     """
     if type(p) is not int:
@@ -618,6 +609,8 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             count = math.comb(m, r)
             shapes[looped, k] = head, tails, size, size + count - 1, weights
             size += count
+    if size > budget.max_nodes:
+        raise ResourceLimit("census node budget exhausted")
     marks = bytearray(size)
     blocks: dict = {}  # d -> (_block_relabelings(p, d), their slot maps)
     ascending: dict = {}  # (d, i, j) -> mask: byte x is 1 iff blocks[d]'s x-th f has f[i] < f[j]
@@ -667,8 +660,6 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
         # vertex lab[v] of the image carries label v
         seeds[rank] = bytes(sorted(range(1, p + 1), key=lab.__getitem__))
 
-    if size > budget.max_nodes:
-        raise ResourceLimit("census node budget exhausted")
     # the sweep of shape (looped, k) gives each vertex v >= 2 a field of
     # ``width`` bits at (v-2)*width that sums v's degree and a ``lift`` of
     # top-k-1 if v is a centre (a loop lifts its vertex; in a loopless shape
@@ -742,8 +733,8 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             at = i + 1
             g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
             witness = mark(g, looped)
-            if witness is not None and not is_sem(g, VertexLabeling(tuple(witness)))[0]:
-                raise RuntimeError("census read off a witness rejected by is_sem")
+            if witness is not None:
+                verified_window(g, VertexLabeling(tuple(witness)), "census witness")
             entries.append((g, witness is not None))
     return entries
 

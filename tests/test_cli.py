@@ -825,6 +825,24 @@ class TestExitCodeContract:
             # a usage error keeps the sub-command's usage lines
             assert f"Try 'main {args[0]} --help' for help." in result.output
 
+    @pytest.mark.parametrize("args, files", [
+        (["construct", "--family", "2lk11-lk1n", "--params", "n=1"], {}),
+        (["product", *_STAR_ARGS, "--snk", "2,2", "--host-labeling", "l.json",
+          "--emit", "labeling"], {"star.txt": _STAR, "l.json": '{"labels": [1, 2, 3]}'}),
+    ], ids=["construct", "product"])
+    def test_failed_self_check_is_an_internal_error(self, runner, tmp_path, monkeypatch,
+                                                    args, files):
+        # a labeling the code guarantees is rejected: no answer (0 or 1), no usage form
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        monkeypatch.setattr("semforge.labelings.is_sem", lambda g, labeling: (False, None))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: VerificationFailed: ")
+        assert result.output.endswith(" rejected by is_sem\n")
+        assert "Usage:" not in result.output
+
     def test_every_command_keeps_the_contract(self):
         assert main.commands
         assert all(isinstance(cmd, _Command) for cmd in main.commands.values())

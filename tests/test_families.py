@@ -234,7 +234,7 @@ class TestDeer:
 
     def test_every_small_palindromic_spec(self):
         # the sweep verifies on every spec, so build_deer never raises
-        # LabelingFailed: spine <= 9, leaf counts <= 3
+        # VerificationFailed: spine <= 9, leaf counts <= 3
         built = 0
         for half_len in range(5):
             for half in itertools.product(range(4), repeat=half_len):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semforge.errors import NotSem
+from semforge.errors import BadAssignment, BadParam, NotSem, VerificationFailed
 from semforge.families import (
     build_two_lk11_lk1n,
     loop_graph,
@@ -30,8 +30,11 @@ from semforge.labelings import (
     labeling_from_json,
     labeling_json,
     rotate_pi,
+    verified_window,
     verify_edge_magic,
 )
+from semforge.product import lift_to_product
+from semforge.search import census_equal_order_size, certify_not_sem, enumerate_snk, find_sem
 
 from conftest import all_possible_edges
 
@@ -108,6 +111,45 @@ class TestIsSem:
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         ok, _ = is_sem(g, identity_labeling(4))
         assert not ok
+
+
+def _reject_every_labeling(monkeypatch):
+    monkeypatch.setattr("semforge.labelings.is_sem", lambda g, labeling: (False, None))
+
+
+def _pruning_disagrees(monkeypatch):
+    # the unpruned enumerator claims a witness on a graph the search exhausts
+    monkeypatch.setattr("semforge.search.exhaustive_sem_search", lambda g: (1, None))
+
+
+class TestSelfCheck:
+    def test_window_of_a_sem_labeling(self):
+        cert = build_two_lk11_lk1n(1)
+        assert verified_window(cert.graph, cert.labeling, "fig. 1").as_pair() == [5, 10]
+
+    def test_rejected_labeling_raises(self):
+        g = disjoint_union([loop_graph(), loop_graph()])
+        with pytest.raises(VerificationFailed, match="^two loops rejected by is_sem$"):
+            verified_window(g, identity_labeling(2), "two loops")
+
+    @pytest.mark.parametrize("fault, call", [
+        (_reject_every_labeling, lambda: build_two_lk11_lk1n(1)),
+        (_reject_every_labeling, lambda: lift_to_product(
+            indegree_one_orientation(star_with_loop(2)), identity_labeling(3), enumerate_snk(2, 2))),
+        (_reject_every_labeling, lambda: find_sem(star_with_loop(2))),
+        (_reject_every_labeling, lambda: census_equal_order_size(3)),
+        (_pruning_disagrees, lambda: certify_not_sem(
+            disjoint_union([loop_graph(), loop_graph()]), cross_check=True)),
+    ], ids=["constructor", "product", "search", "census", "cross-check"])
+    def test_every_self_check_raises_one_internal_error(self, monkeypatch, fault, call):
+        fault(monkeypatch)
+        with pytest.raises(VerificationFailed) as info:
+            call()
+        assert isinstance(info.value, RuntimeError)
+
+    @pytest.mark.parametrize("error", [BadParam, BadAssignment, NotSem])
+    def test_malformed_input_errors_are_value_errors(self, error):
+        assert issubclass(error, ValueError)
 
 
 class TestComplement:

@@ -39,7 +39,6 @@ from semforge.search import (
     enumerate_snk,
     exhaustive_sem_search,
     explore_even_copies,
-    feasible_sum_starts,
     find_sem,
     report_json,
     sem_bijections,
@@ -350,14 +349,18 @@ class TestCertify:
             certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND))
 
     @staticmethod
-    def _sweep(max_order):
-        """The sweep script's lines, checked to cover orders 3..max_order with
-        every forest exhausted (no witness, no abort)."""
+    def _sweep(max_order, min_order=3):
+        """The sweep script's lines, checked to cover orders
+        min_order..max_order with every forest exhausted (no witness, no
+        abort)."""
         script = Path(__file__).resolve().parent.parent / "scripts" / "certify_sweep.py"
-        out = subprocess.run([sys.executable, str(script), "--max-order", str(max_order)],
+        out = subprocess.run([sys.executable, str(script), "--min-order", str(min_order),
+                              "--max-order", str(max_order)],
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
-        assert [line.split()[0] for line in lines] == [f"p={p}" for p in range(3, max_order + 1)]
+        assert [line.split()[0] for line in lines] == [
+            f"p={p}" for p in range(min_order, max_order + 1)
+        ]
         assert not [line for line in lines if "witness" in line or "aborted" in line]
         return lines
 
@@ -367,6 +370,10 @@ class TestCertify:
     def test_sweep_script_to_the_certify_bound(self):
         # backs the README's figure for the worst forest of order 24
         assert self._sweep(24)[-1].split()[2:4] == ["2l+lk121", "1,899"]
+
+    def test_sweep_script_past_the_certify_bound(self):
+        # the sweep calls the core, not find_sem, so its first-mode bound of 24 does not stop it
+        assert self._sweep(40, min_order=25)[-1].split()[2:4] == ["2l+lk137", "9,561"]
 
 
 def _forests(max_order: int):
@@ -440,7 +447,7 @@ class TestEnumerateSnk:
 
         for n in (1, 2, 3):
             pool = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-            for k in feasible_sum_starts(n):
+            for k in range(2, n + 2):
                 expected = set()
                 for combo in itertools.combinations(pool, n):
                     sums = sorted(a + b for a, b in combo)
@@ -449,11 +456,14 @@ class TestEnumerateSnk:
                 assert set(enumerate_snk(n, k).members) == expected
 
     def test_infeasible_k_empty(self):
-        assert len(enumerate_snk(2, 5)) == 0
+        # every arc sum lies in [2, 2n], and each of them has an arc
+        for n in range(1, 6):
+            for k in range(-1, 2 * n + 3):
+                assert bool(enumerate_snk(n, k).members) == (2 <= k <= n + 1), (n, k)
 
     def test_members_feed_the_product(self):
         host = indegree_one_orientation(cycle_graph(3))
-        for k in feasible_sum_starts(3):
+        for k in range(2, 5):
             fam = enumerate_snk(3, k)
             lab = canonical_product_labeling(host, identity_labeling(3), fam)
             prod = underlying(otimes_h(host, constant_assignment(host), fam))
@@ -605,6 +615,14 @@ class TestCensus:
         with pytest.raises(ResourceLimit, match="node budget"):
             census_equal_order_size(p, ResourceBudget(max_nodes=subsets - 1))
 
+    def test_node_budget_checked_before_any_labeled_sem_graph(self, monkeypatch):
+        def no_seeds(*args):
+            raise AssertionError("the census listed labeled SEM graphs")
+
+        monkeypatch.setattr("semforge.search._labeled_sem_edge_sets", no_seeds)
+        with pytest.raises(ResourceLimit, match="node budget"):
+            census_equal_order_size(8, ResourceBudget(max_nodes=0))
+
     def test_wall_clock_budget(self):
         with pytest.raises(ResourceLimit):
             census_equal_order_size(6, ResourceBudget(max_seconds=0.0))
@@ -665,7 +683,7 @@ class TestCensus:
         assert (len(entries), sum(sem for _, sem in entries)) == (173, 89)
 
     def test_witness_rejected_by_is_sem_is_an_error(self, monkeypatch):
-        monkeypatch.setattr("semforge.search.is_sem", lambda g, w: (False, None))
+        monkeypatch.setattr("semforge.labelings.is_sem", lambda g, w: (False, None))
         with pytest.raises(RuntimeError, match="is_sem"):
             census_equal_order_size(3)
 
