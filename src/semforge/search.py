@@ -2,16 +2,16 @@
 non-existence certification, family enumeration, and small censuses.
 
 The SEM search (``_sem_backtrack``) is one core behind ``find_sem`` and
-``certify_not_sem``; it takes only the graph, the mode and the budget, and
-builds every table it reads from the graph.  It anchors the window of
-induced sums: the consecutive-sums identity confines the minimum sum s to a
-short range, and a partial labeling dies as soon as its sums fit no window
-[s, s+q-1] with s in that range.  The same identity, bounded by the degrees
-of the vertices still unplaced, narrows that range again at every depth.
-Once the range is a single s, every sum of the window not yet made needs an
-edge still open that can make it, or the partial labeling dies.  Outside
-``all`` mode the search also breaks the symmetry of twin vertices and of the
-complement labeling.
+``certify_not_sem``, each under its own order bound; it takes only the
+graph, the mode and the budget, and builds every table it reads from the
+graph.  It anchors the window of induced sums: the consecutive-sums
+identity confines the minimum sum s to a short range, and a partial
+labeling dies as soon as its sums fit no window [s, s+q-1] with s in that
+range.  The same identity, bounded by the degrees of the vertices still
+unplaced, narrows that range again at every depth.  Once the range is a
+single s, every sum of the window not yet made needs an edge still open that
+can make it, or the partial labeling dies.  Outside ``all`` mode the search
+also breaks the symmetry of twin vertices and of the complement labeling.
 
 The pruned searcher and the unpruned permutation enumerator are deliberately
 independent code paths: an exhaustion certificate from the pruned tree can be
@@ -44,7 +44,7 @@ ABORTED = "aborted"
 
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
-DEFAULT_CERTIFY_BOUND = 24  # scripts/certify_sweep.py; the first-mode bound caps it
+DEFAULT_CERTIFY_BOUND = 100  # the largest order CI exhausts through certify_not_sem
 SNK_ORDER_BOUND = 5
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -394,22 +394,21 @@ def find_sem(
     """
     if mode not in ("first", "canonical", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    budget = budget or ResourceBudget()
     _check_order_bound(g.order, mode)
+    return _search(g, mode, budget)
+
+
+def _search(g: Graph, mode: str, budget: ResourceBudget | None) -> SearchReport:
+    """``_sem_backtrack`` under the budget, each witness re-verified by
+    ``verified_window``; the caller checks its own order bound first."""
+    budget = budget or ResourceBudget()
     start = time.monotonic()
     status, wits, nodes = _sem_backtrack(g, mode, budget.max_nodes, start + budget.max_seconds)
     for w in wits:
         verified_window(g, w, "search witness")
-    elapsed = time.monotonic() - start
-    witness = wits[0] if wits else None
-    return SearchReport(
-        status,
-        witness,
-        tuple(wits) if mode == "all" and status != ABORTED else None,
-        nodes,
-        elapsed,
-        budget,
-    )
+    witnesses = tuple(wits) if mode == "all" and status != ABORTED else None
+    return SearchReport(status, wits[0] if wits else None, witnesses, nodes,
+                        time.monotonic() - start, budget)
 
 
 def sem_bijections(g: Graph):
@@ -461,6 +460,10 @@ def certify_not_sem(
 ) -> SearchReport:
     """Exhaust the pruned search; an exhausted outcome certifies non-existence.
 
+    It runs ``find_sem``'s ``first``-mode search under ``DEFAULT_CERTIFY_BOUND``
+    (backed on the loop-star unions only) in place of the first-mode bound,
+    so a SEM graph of order 25..100 gets its witness.
+
     With ``cross_check`` and order at most 8, the result is compared against
     the unpruned enumerator; disagreement means the pruning is unsound and
     raises ``VerificationFailed`` instead of returning.
@@ -469,7 +472,7 @@ def certify_not_sem(
         raise ResourceLimit(
             f"order {g.order} exceeds the certification bound {DEFAULT_CERTIFY_BOUND}"
         )
-    report = find_sem(g, "first", budget)
+    report = _search(g, "first", budget)
     if cross_check and g.order <= 8 and report.outcome != ABORTED:
         count, _ = exhaustive_sem_search(g)
         if (count > 0) != (report.outcome == WITNESS):
@@ -538,11 +541,12 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     class is loopless.  A canonical form contains (1,1), the smallest pair,
     iff the class has a loop.  Its vertex 1 is a centre of maximum degree k,
     since a longer run of (1,x) pairs is smaller, and its other neighbours
-    are {2..k+1} (k >= 1 if loopless), since moving them there in order only
-    shrinks the (1,x) prefix of the sorted edge list.  So the pass meets only
-    subsets of such a shape (looped, k), and keeps one byte per such subset:
-    its shape's offset plus the rank of its tail (the edges without vertex 1)
-    among the tails of that shape.
+    are {2..k+1} (k >= 2 if loopless: p edges without a loop need a degree
+    >= 2), since moving them there in order only shrinks the (1,x) prefix of
+    the sorted edge list.  So the pass meets only subsets of such a shape
+    (looped, k), and keeps one byte per such subset: its shape's offset plus
+    the rank of its tail (the edges without vertex 1) among the tails of
+    that shape.
 
     Before the pass, one sweep per shape marks every subset in which another
     centre has degree > k: each tail slot adds a packed degree increment to
@@ -597,7 +601,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     for looped in (True, False):
         tails = [i for i in range(p, n) if looped or pool[i][0] != pool[i][1]]
         m = len(tails)
-        for k in range(p - 1, -1 if looped else 0, -1):
+        for k in range(p - 1, -1 if looped else 1, -1):
             head = range(0 if looped else 1, k + 1)
             r = p - len(head)
             # tail positions x_0 < x_1 < ... have rank C(m, r) - 1 - Σ_i C(m-1-x_i, r-i);

@@ -133,6 +133,12 @@ def test_criterion_3_nonexistence_certificates():
         instances.append((f"l+lk1{n}", [0, n]))
     for n in range(1, 22):
         instances.append((f"2l+lk1{n}", [0, 0, n]))
+    # past the first-mode bound: every split of each order, as the sweep script runs them
+    for p in [*range(25, 41), 100]:
+        for m in range(1, (p - 2) // 2 + 1):
+            instances.append((f"lk1{m}+lk1{p - 2 - m}", [m, p - 2 - m]))
+        instances.append((f"l+lk1{p - 2}", [0, p - 2]))
+        instances.append((f"2l+lk1{p - 3}", [0, 0, p - 3]))
     for tag, leaves in instances:
         g = disjoint_union([star_with_loop(n) for n in leaves])
         report = certify_not_sem(g)
@@ -147,7 +153,7 @@ def test_criterion_3_nonexistence_certificates():
     elapsed = time.monotonic() - start
     _finish(
         3,
-        f"{len(instances)} non-existence instances of order <= 24 exhausted "
+        f"{len(instances)} non-existence instances of order <= 100 exhausted "
         "(each re-checked by the forced-matching oracle, order <= 8 also unpruned)",
         failures,
         elapsed,

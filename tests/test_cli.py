@@ -755,8 +755,8 @@ class TestExitCodeContract:
              {"g.txt": format_graph(star_with_loop(24))},
              3, "order 25 exceeds the first-mode bound 24"),
         _row("certify-order-bound", ["certify", "--graph", "g.txt"],
-             {"g.txt": format_graph(star_with_loop(24))},
-             3, "order 25 exceeds the certification bound 24"),
+             {"g.txt": format_graph(star_with_loop(100))},
+             3, "order 101 exceeds the certification bound 100"),
         _row("explore-needs-params", ["explore", "--params", "s=1"], {},
              2, "Error: explore needs --params s=..,n=.."),
         _row("explore-bad-copies", ["explore", "--params", "s=0,n=1"], {},
@@ -824,6 +824,15 @@ class TestExitCodeContract:
         if last.startswith("Error: "):
             # a usage error keeps the sub-command's usage lines
             assert f"Try 'main {args[0]} --help' for help." in result.output
+
+    def test_certify_at_the_bound(self, runner, tmp_path):
+        # 2l+lk197 has order 100, the certification bound, and is the
+        # sweep's slowest union there
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(disjoint_union([loop_graph()] * 2 + [star_with_loop(97)])))
+        result = runner.invoke(main, ["certify", "--graph", str(path)])
+        report = json.loads(result.output)
+        assert (result.exit_code, report["outcome"], report["nodes"]) == (1, "exhausted", 162_234)
 
     @pytest.mark.parametrize("args, files", [
         (["construct", "--family", "2lk11-lk1n", "--params", "n=1"], {}),

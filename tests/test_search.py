@@ -327,6 +327,9 @@ class TestSymmetryBrokenModes:
         self.check(graph)
 
 
+SWEEP_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "certify_sweep.py"
+
+
 class TestCertify:
     def test_loop_plus_star(self):
         g = disjoint_union([loop_graph(), star_with_loop(1)])
@@ -344,7 +347,8 @@ class TestCertify:
         assert report.outcome == EXHAUSTED
 
     def test_order_bound(self):
-        certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND - 1))
+        # past the first-mode bound a SEM graph still gets its witness
+        assert certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND - 1)).outcome == WITNESS
         with pytest.raises(ResourceLimit):
             certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND))
 
@@ -353,8 +357,7 @@ class TestCertify:
         """The sweep script's lines, checked to cover orders
         min_order..max_order with every forest exhausted (no witness, no
         abort)."""
-        script = Path(__file__).resolve().parent.parent / "scripts" / "certify_sweep.py"
-        out = subprocess.run([sys.executable, str(script), "--min-order", str(min_order),
+        out = subprocess.run([sys.executable, str(SWEEP_SCRIPT), "--min-order", str(min_order),
                               "--max-order", str(max_order)],
                              capture_output=True, text=True, check=True).stdout
         lines = out.splitlines()
@@ -367,13 +370,22 @@ class TestCertify:
     def test_sweep_script(self):
         assert self._sweep(12)[-1].split()[2:4] == ["2l+lk19", "204"]
 
-    def test_sweep_script_to_the_certify_bound(self):
-        # backs the README's figure for the worst forest of order 24
+    def test_sweep_script_to_the_first_mode_bound(self):
+        # backs the README's worst case of orders 3-24
         assert self._sweep(24)[-1].split()[2:4] == ["2l+lk121", "1,899"]
 
-    def test_sweep_script_past_the_certify_bound(self):
-        # the sweep calls the core, not find_sem, so its first-mode bound of 24 does not stop it
+    def test_sweep_script_past_the_first_mode_bound(self):
+        # certify_not_sem checks the certification bound, not find_sem's first-mode bound of 24
         assert self._sweep(40, min_order=25)[-1].split()[2:4] == ["2l+lk137", "9,561"]
+
+    @pytest.mark.parametrize("orders", [["--max-order", str(DEFAULT_CERTIFY_BOUND + 1)],
+                                        ["--min-order", "10", "--max-order", "9"]],
+                             ids=["past-the-bound", "below-min-order"])
+    def test_sweep_script_rejects_max_order(self, orders):
+        result = subprocess.run([sys.executable, str(SWEEP_SCRIPT), *orders],
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert f"--max-order must lie in [--min-order, {DEFAULT_CERTIFY_BOUND}]" in result.stderr
 
 
 def _forests(max_order: int):
@@ -577,7 +589,7 @@ class TestCensus:
         assert ((1, 1) in form.edges) == looped
         k = sum(1 for u, v in form.edges if u == 1 and v != 1)
         assert {v for u, v in form.edges if u == 1 and v != 1} == set(range(2, k + 2))
-        assert looped or k >= 1
+        assert looped or k >= 2
         # vertex 1 has maximum degree among the centres: the looped vertices,
         # or every vertex if the class is loopless
         degree = {v: sum(1 for e in form.edges if v in e and e[0] != e[1])
@@ -603,12 +615,12 @@ class TestCensus:
         with pytest.raises(ResourceLimit):
             census_equal_order_size(3, ResourceBudget(max_nodes=7))
 
-    @pytest.mark.parametrize("p, subsets", [(5, 442), (6, 5_581)])
+    @pytest.mark.parametrize("p, subsets", [(5, 427), (6, 5_329)])
     def test_node_budget_is_the_shaped_subset_count(self, p, subsets):
         # looped shapes take r = 0..p-1 of the p(p-1)/2 slots (u,v) with
-        # 2 <= u <= v, loopless ones r = 1..p-1 of the C(p-1, 2) with u < v
+        # 2 <= u <= v, loopless ones r = 1..p-2 of the C(p-1, 2) with u < v
         looped = sum(math.comb(p * (p - 1) // 2, r) for r in range(p))
-        loopless = sum(math.comb(math.comb(p - 1, 2), r) for r in range(1, p))
+        loopless = sum(math.comb(math.comb(p - 1, 2), r) for r in range(1, p - 1))
         assert looped + loopless == subsets
         entries = census_equal_order_size(p, ResourceBudget(max_nodes=subsets))
         assert entries == _census(p)
@@ -644,8 +656,8 @@ class TestCensus:
         assert len(reads) == 2
 
     def test_every_clock_read_enforces_the_deadline(self, monkeypatch):
-        # order 3 reads the clock 13 times: once for the deadline, at the
-        # first labeled SEM graph, after each of the 5 shapes' sweeps and at
+        # order 3 reads the clock 12 times: once for the deadline, at the
+        # first labeled SEM graph, after each of the 4 shapes' sweeps and at
         # each of the 6 classes; the deadline passing at any read is a limit
         reads = []
         late = math.inf
@@ -656,8 +668,8 @@ class TestCensus:
 
         monkeypatch.setattr("semforge.search.time", SimpleNamespace(monotonic=monotonic))
         assert len(census_equal_order_size(3, ResourceBudget(max_seconds=50.0))) == 6
-        assert len(reads) == 13
-        for late in range(2, 14):
+        assert len(reads) == 12
+        for late in range(2, 13):
             reads.clear()
             with pytest.raises(ResourceLimit, match="wall-clock"):
                 census_equal_order_size(3, ResourceBudget(max_seconds=50.0))
