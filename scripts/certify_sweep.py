@@ -8,8 +8,8 @@ and 1 <= m <= n, plus l+lk1n and 2l+lk1n of order p, each through
 prints one line per order: the instance that took the most nodes, its node
 count and CPU seconds, and how many instances were exhausted, had a witness
 or aborted.  ``DEFAULT_CERTIFY_BOUND`` is the largest order CI exhausts
-through ``certify_not_sem``; it is the default ``--max-order``, and a larger
-one is an error.
+through ``certify_not_sem`` and the default ``--max-order``; a larger one is
+an error, so to raise the bound, edit the constant, then sweep up to it.
 
 Run it from the root of a source checkout; it imports ``semforge`` from
 ``src/``.
