@@ -19,9 +19,10 @@ cross-checked against plain enumeration at small orders, and the two must
 agree both on existence and on witness counts.  The census searches no
 class: it reads each class's SEM flag off the labeled graphs whose identity
 labeling is SEM, so its flags and ``find_sem`` are independent too.  Its
-orderly pass visits only canonical forms: a sweep before the pass marks
-every subset whose vertex 1 is not a centre of maximum degree, and each new
-class marks its images centred on such a centre.
+orderly pass visits only canonical forms: isolated loops first, then a
+centre of maximum degree and its neighbours.  A sweep before the pass marks
+every subset in which another centre has a higher degree than the shape's,
+and each new class marks its images centred on such a centre.
 """
 
 from __future__ import annotations
@@ -520,13 +521,13 @@ def _labeled_sem_edge_sets(p: int, starts: range):
         )
 
 
-def _block_relabelings(p: int, d: int) -> list:
-    """The relabelings of [1,p], as tuples f with f[0] = 0, that fix vertex 1
-    and permute {2..d+1} and {d+2..p} each among themselves."""
+def _block_relabelings(p: int, j: int, d: int) -> list:
+    """The relabelings of [1,p], as tuples f with f[0] = 0, that fix 1..j+1
+    and permute {j+2..j+d+1} and {j+d+2..p} each among themselves."""
     return [
-        (0, 1) + low + high
-        for low in itertools.permutations(range(2, d + 2))
-        for high in itertools.permutations(range(d + 2, p + 1))
+        tuple(range(j + 2)) + low + high
+        for low in itertools.permutations(range(j + 2, j + d + 2))
+        for high in itertools.permutations(range(j + d + 2, p + 1))
     ]
 
 
@@ -537,47 +538,55 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     lexicographic order, so the first subset met of each class is its
     canonical form (minimum sorted edge list over all relabelings).  It is
     appended with its SEM flag.  Here a vertex's degree is its number of
-    other neighbours, and a centre is a looped vertex, or any vertex if the
-    class is loopless.  A canonical form contains (1,1), the smallest pair,
-    iff the class has a loop.  Its vertex 1 is a centre of maximum degree k,
+    other neighbours.  A canonical form contains (1,1), the smallest pair,
+    iff the class has a loop.  If some loop has a neighbour, vertex 1 of the
+    form is a looped vertex of maximum degree k >= 1 among the looped ones,
     since a longer run of (1,x) pairs is smaller, and its other neighbours
-    are {2..k+1} (k >= 2 if loopless: p edges without a loop need a degree
-    >= 2), since moving them there in order only shrinks the (1,x) prefix of
-    the sorted edge list.  So the pass meets only subsets of such a shape
-    (looped, k), and keeps one byte per such subset: its shape's offset plus
-    the rank of its tail (the edges without vertex 1) among the tails of
-    that shape.
+    are {2..k+1}, since moving them there in order only shrinks the (1,x)
+    prefix of the sorted edge list: shape (True, 0, k).  Otherwise the class
+    is j >= 0 isolated loops beside a loopless graph on p - j vertices, and
+    its form is (1,1),...,(j,j) followed by a loopless form on j+1..p, whose
+    vertex j+1 has maximum degree k and neighbours {j+2..j+k+1}, by the same
+    argument: shape (False, j, k), with k >= 2 since p - j loopless edges
+    need a degree >= 2, or k = 0 for the p isolated loops.  The centres of
+    a shape are the vertices that may take its vertex j+1: the looped ones
+    in a looped shape, the loopless ones otherwise.  So the pass meets only
+    subsets of these shapes, and keeps one byte per such subset: its
+    shape's offset plus the rank of its tail (the edges with both ends past
+    j+1) among the tails of that shape.
 
     Before the pass, one sweep per shape marks every subset in which another
     centre has degree > k: each tail slot adds a packed degree increment to
-    its endpoints, and one guard bit per vertex fires past degree k.  The
-    pass jumps from one unmarked subset to the next, and each one it meets
-    is a new class.  The class marks its images that land on its shape:
-    those sending a centre c of degree k to 1 and its other neighbours onto
-    {2..k+1}.  Every other shaped image has a centre of degree > k off
-    vertex 1 and is already marked.  Each image is marked once per
-    automorphism orbit of centres and once per order of each twin class: a
-    centre whose first image is already marked lies in the orbit of an
-    earlier centre and has the same images, and swapping two twins (same
-    open neighbourhood and loop flag) fixes the image.
+    its endpoints, and one guard bit per vertex past j+1 fires past degree
+    k.  The pass jumps from one unmarked subset to the next, and each one it
+    meets is a new class.  The class marks its images that land on its
+    shape: those sending its isolated loops onto 1..j (none in a looped
+    shape), a centre c of degree k to j+1 and its other neighbours onto
+    {j+2..j+k+1}.  Every other shaped image has a centre of degree > k past
+    j+1 and is already marked.  Each image is marked once per automorphism
+    orbit of centres and once per order of each twin class: a centre whose
+    first image is already marked lies in the orbit of an earlier centre and
+    has the same images, and swapping two twins (same open neighbourhood
+    and loop flag) fixes the image.
 
     No class is searched: the flags come from the labeled SEM graphs, those
     whose identity labeling is SEM (``_labeled_sem_edge_sets``).  Before the
     pass, each one with a window s <= ⌊(p+3)/2⌋ is moved by one relabeling,
-    centred on a centre of maximum degree, onto a shaped image, and the
-    image's rank keeps the labels that make it SEM.  The complement
-    x ↦ p+1-x maps window s onto window p+3-s inside one class, so the other
-    windows add no class.  A class is SEM iff one of its graphs is a labeled
-    SEM graph; its marking meets every image centred on a centre of maximum
-    degree, so it is SEM iff one of the ranks it marks is kept.  The kept
-    labels, moved back through the centre and block relabelings that hit
-    that rank, are re-verified by ``verified_window``.  The census raises
-    ``ResourceLimit`` before it lists the labeled SEM graphs or allocates
-    its table if there are more shaped subsets than ``budget.max_nodes``.
-    ``budget.max_seconds`` bounds the whole census, read at the first
-    labeled SEM graph and at every 1024th after it, after each shape's sweep
-    and at each new class.  Past it the census raises
-    ``ResourceLimit``, and so does p > 9 (order 9 takes about a minute).
+    its isolated loops first if every loop is isolated and then a centre of
+    maximum degree, onto a shaped image, and the image's rank keeps that
+    relabeling: vertex v, labeled v, goes to the image's vertex lab[v].  The
+    complement x ↦ p+1-x maps window s onto window p+3-s inside one class,
+    so the other windows add no class.  A class is SEM iff one of its graphs
+    is a labeled SEM graph; its marking meets every image of its shape, so
+    it is SEM iff one of the ranks it marks is kept.  The kept relabeling,
+    inverted and moved back through the centre and block relabelings that
+    hit that rank, gives the labels, which ``verified_window`` re-verifies.
+    The census raises ``ResourceLimit`` before it lists the labeled SEM
+    graphs or allocates its table if there are more shaped subsets than
+    ``budget.max_nodes``.  ``budget.max_seconds`` bounds the whole census,
+    read at the first labeled SEM graph and at every 1024th after it, after
+    each shape's sweep and at each new class.  Past it the census raises
+    ``ResourceLimit``, and so does p > 9 (order 9 takes 14–22 s of CPU).
     """
     if type(p) is not int:
         raise ValueError(f"census order must be an integer, got {p!r}")
@@ -592,80 +601,96 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     for i, (u, v) in enumerate(pool):
         slot[u][v] = slot[v][u] = i
     n = len(pool)
-    # shape (looped, k): head slots (1,1)?,(1,2),...,(1,k+1), a tail of the
-    # r = p - |head| other slots from ``tails``, and C(m, r) bytes of the
-    # table from ``offset`` to ``last``; slot i < p is (1, i+1), so a tail's
-    # slots (u >= 2) follow its head's
+    # shape (looped, j, k): head slots (1,1),...,(j,j), then (c,c) if looped
+    # and (c,c+1),...,(c,c+k) for the centre c = j+1; a tail of the
+    # r = p - |head| slots of ``tails``, those with both ends past c (loops
+    # only if looped); and C(m, r) bytes of the table from ``offset`` to
+    # ``last``.  The shapes are listed in the order of their forms.
+    forms = [(True, 0, k) for k in range(p - 1, 0, -1)]
+    for j in range(p, -1, -1):
+        forms += [(False, j, k) for k in (range(p - j - 1, 1, -1) if j < p else [0])]
     shapes: dict = {}
     size = 0
-    for looped in (True, False):
-        tails = [i for i in range(p, n) if looped or pool[i][0] != pool[i][1]]
-        m = len(tails)
-        for k in range(p - 1, -1 if looped else 1, -1):
-            head = range(0 if looped else 1, k + 1)
-            r = p - len(head)
-            # tail positions x_0 < x_1 < ... have rank C(m, r) - 1 - Σ_i C(m-1-x_i, r-i);
-            # weights[i] gives minus that term for each slot of ``tails``
-            weights = [[0] * n for _ in range(r)]
-            for i, w in enumerate(weights):
-                for x, t in enumerate(tails):
-                    w[t] = -math.comb(m - 1 - x, r - i)
-            count = math.comb(m, r)
-            shapes[looped, k] = head, tails, size, size + count - 1, weights
-            size += count
+    for looped, j, k in forms:
+        c = j + 1
+        head = [slot[v][v] for v in range(1, c + looped)]
+        head += [slot[c][v] for v in range(c + 1, c + k + 1)]
+        tails = [i for i, (u, v) in enumerate(pool) if u > c and (looped or u != v)]
+        m, r = len(tails), p - len(head)
+        # tail positions x_0 < x_1 < ... have rank C(m, r) - 1 - Σ_i C(m-1-x_i, r-i);
+        # weights[i] gives minus that term for each slot of ``tails``
+        weights = [[0] * n for _ in range(r)]
+        for i, w in enumerate(weights):
+            for x, t in enumerate(tails):
+                w[t] = -math.comb(m - 1 - x, r - i)
+        count = math.comb(m, r)
+        shapes[looped, j, k] = head, tails, size, size + count - 1, weights
+        size += count
     if size > budget.max_nodes:
         raise ResourceLimit("census node budget exhausted")
     marks = bytearray(size)
-    blocks: dict = {}  # d -> (_block_relabelings(p, d), their slot maps)
-    ascending: dict = {}  # (d, i, j) -> mask: byte x is 1 iff blocks[d]'s x-th f has f[i] < f[j]
+    # (j, d) -> (_block_relabelings(p, j, d), their slot maps as bytes: n <= 45)
+    blocks: dict = {}
+    # (j, d, a, b) -> mask: byte x is 1 iff blocks[j, d]'s x-th f has f[a] < f[b]
+    ascending: dict = {}
 
-    def relabelings(d: int, pairs: list):
-        """Slot maps of the block relabelings of centre degree d that keep
-        f[i] < f[j] for every (i, j) in pairs."""
-        if d not in blocks:
-            fs = _block_relabelings(p, d)
-            blocks[d] = fs, [[slot[f[u]][f[v]] for u, v in pool] for f in fs]
-        fs, maps = blocks[d]
+    def relabelings(j: int, d: int, pairs: list):
+        """Slot maps of the block relabelings past the centre j+1 of degree d
+        that keep f[a] < f[b] for every (a, b) in pairs."""
+        if (j, d) not in blocks:
+            fs = _block_relabelings(p, j, d)
+            blocks[j, d] = fs, [bytes([slot[f[u]][f[v]] for u, v in pool]) for f in fs]
+        fs, maps = blocks[j, d]
         if not pairs:
             return maps
         keep = -1
-        for i, j in pairs:
-            if (d, i, j) not in ascending:
-                ascending[d, i, j] = int.from_bytes(bytes(f[i] < f[j] for f in fs), "little")
-            keep &= ascending[d, i, j]
+        for a, b in pairs:
+            if (j, d, a, b) not in ascending:
+                ascending[j, d, a, b] = int.from_bytes(bytes(f[a] < f[b] for f in fs), "little")
+            keep &= ascending[j, d, a, b]
         return list(itertools.compress(maps, keep.to_bytes(len(maps), "little")))
 
-    def centred(edges, looped: bool, c: int, around) -> tuple:
-        """Send c to 1, its other neighbours ``around`` onto {2..d+1} and the
-        rest onto {d+2..p}, each in order; returns that relabeling (index 0
-        unused), the slots of the image's tail and the image's rank."""
+    def centred(edges, shape: tuple, first: list) -> tuple:
+        """Send the vertices of ``first`` onto 1, 2, ... and the rest after
+        them, each in order; returns that relabeling (index 0 unused), the
+        slots of the image's tail and the image's rank in ``shape``."""
         lab = [0] * (p + 1)
-        rest = (v for v in range(1, p + 1) if v != c and v not in around)
-        for i, v in enumerate([c, *sorted(around), *rest], 1):
+        for i, v in enumerate(first, 1):
             lab[v] = i
-        tail = [slot[lab[u]][lab[v]] for u, v in edges if c != u and c != v]
-        last, weights = shapes[looped, len(around)][3:]
+        i = len(first)
+        for v in range(1, p + 1):
+            if not lab[v]:
+                i += 1
+                lab[v] = i
+        c = shape[1] + 1
+        tail = [slot[lab[u]][lab[v]] for u, v in edges if lab[u] > c and lab[v] > c]
+        last, weights = shapes[shape][3:]
         return lab, tail, sum(map(list.__getitem__, weights, sorted(tail)), last)
 
-    seeds: dict = {}  # rank of a shaped image -> the labels that make it SEM
+    seeds: dict = {}  # rank of a shaped image -> bytes(lab), its relabeling from labels
     for i, edges in enumerate(_labeled_sem_edge_sets(p, range(2, (p + 3) // 2 + 1))):
         if i & 1023 == 0 and time.monotonic() > deadline:
             raise ResourceLimit("census wall-clock budget exhausted")
-        # centred on a centre of maximum degree, as ``mark`` centres its images
+        # centred as ``mark`` centres its images
         deg = [0] * (p + 1)
+        loops = []  # ascending, since the sums 2u ascend
         for u, v in edges:
             if u != v:
                 deg[u] += 1
                 deg[v] += 1
-        loops = [u for u, v in edges if u == v]
-        c = max(loops or range(1, p + 1), key=deg.__getitem__)
-        around = {u + v - c for u, v in edges if c in (u, v) and u != v}
-        lab, _, rank = centred(edges, bool(loops), c, around)
-        # vertex lab[v] of the image carries label v
-        seeds[rank] = bytes(sorted(range(1, p + 1), key=lab.__getitem__))
+            else:
+                loops.append(u)
+        looped = any(map(deg.__getitem__, loops))
+        c = max(loops if looped else range(1, p + 1), key=deg.__getitem__)
+        first = [] if looped else loops
+        if deg[c]:  # else p isolated loops
+            first = [*first, c, *sorted(u + v - c for u, v in edges if c in (u, v) and u != v)]
+        shape = looped, 0 if looped else len(loops), deg[c]
+        lab, _, rank = centred(edges, shape, first)
+        seeds[rank] = bytes(lab)
 
-    # the sweep of shape (looped, k) gives each vertex v >= 2 a field of
-    # ``width`` bits at (v-2)*width that sums v's degree and a ``lift`` of
+    # the sweep of shape (looped, j, k) gives each vertex v > j+1 a field of
+    # ``width`` bits at (v-j-2)*width that sums v's degree and a ``lift`` of
     # top-k-1 if v is a centre (a loop lifts its vertex; in a loopless shape
     # every field starts lifted), so the field's top bit, its guard, is set
     # iff v is a centre of degree > k
@@ -673,45 +698,50 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     # top > p - 1 >= any degree, so an unlifted field stays below top and a
     # lifted one below 2 top: fields never carry into each other
     top = 1 << width - 1
-    bit = [0, 0] + [1 << (v - 2) * width for v in range(2, p + 1)]
-    guards = top * sum(bit)
-    for (looped, k), (head, tails, offset, last, _) in shapes.items():
+    for (looped, j, k), (head, tails, offset, last, _) in shapes.items():
+        bit = [0] * (j + 2) + [1 << (v - j - 2) * width for v in range(j + 2, p + 1)]
+        guards = top * sum(bit)
         lift = top - k - 1
         steps = [lift * bit[u] if u == v else bit[u] + bit[v]
                  for u, v in map(pool.__getitem__, tails)]
-        base = sum(bit[2 : k + 2]) + (0 if looped else lift * sum(bit))
+        base = sum(bit[j + 2 : j + k + 2]) + (0 if looped else lift * sum(bit))
         sums = map(sum, itertools.combinations(steps, p - len(head)), itertools.repeat(base))
         hits = map(bool, map(guards.__and__, sums))
-        # in slices of 1 MiB: order 9's largest shape would need a 30 MB temporary
+        # in slices of 1 MiB: order 9's largest shape would need an 8 MB temporary
         for at in range(offset, last + 1, 1 << 20):
             chunk = bytes(itertools.islice(hits, 1 << 20))
             marks[at : at + len(chunk)] = chunk
         if time.monotonic() > deadline:
             raise ResourceLimit("census wall-clock budget exhausted")
 
-    def mark(g: Graph, looped: bool) -> list | None:
-        """Mark each image of the class centred on a centre of maximum
-        degree; returns the labels of a SEM labeling of g read off a kept
-        image, or None if no image is kept."""
+    def mark(g: Graph, shape: tuple) -> list | None:
+        """Mark each image of the class on its shape; returns the labels of a
+        SEM labeling of g read off a kept image, or None if no image is
+        kept."""
+        looped, j, k = shape
         nbrs, loop = nbhd = _neighbourhoods(g)
-        k = len(nbrs[1])  # vertex 1 of a canonical form has maximum degree
-        last, weights = shapes[looped, k][3:]
+        last, weights = shapes[shape][3:]
+        if j == p:  # p isolated loops: g is the only image of its class
+            seed = seeds.get(last)
+            return None if seed is None else [seed.index(v) for v in range(1, p + 1)]
+        loops = [] if looped else [v for v in range(1, p + 1) if loop[v]]
         twins = _twins(nbhd)
         witness = None
         for c in range(1, p + 1):
-            if len(nbrs[c]) != k or looped and not loop[c]:
+            if len(nbrs[c]) != k or loop[c] != looped:
                 continue
             # the block relabelings of this base image give every image of its shape
-            lab, tail, base = centred(g.edges, looped, c, nbrs[c])
+            lab, tail, base = centred(g.edges, shape, [*loops, c, *sorted(nbrs[c])])
             if marks[base]:
                 continue  # an earlier centre of c's orbit marked these images
-            # twins other than c lie in one block and take ascending labels
+            # twins other than c lie in one block, or among the loops, and
+            # take ascending labels
             pairs = [
                 (lab[u], lab[w])
                 for cls in twins
                 for u, w in itertools.pairwise([v for v in cls if v != c])
             ]
-            fs = relabelings(k, pairs)
+            fs = relabelings(j, k, pairs)
             # itemgetter of one slot returns it bare, not in a tuple
             take = operator.itemgetter(*tail) if len(tail) > 1 else lambda f: [f[t] for t in tail]
             terms = map(map, itertools.repeat(list.__getitem__), itertools.repeat(weights),
@@ -721,13 +751,13 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
                 marks[r] = 1
             if witness is None and not seeds.keys().isdisjoint(ranks):
                 f, r = next((f, r) for f, r in zip(fs, ranks) if r in seeds)
-                labels = seeds[r]
-                # f maps slots, and sends vertex w where it sends the loop (w,w)
-                witness = [labels[pool[f[slot[w][w]]][0] - 1] for w in lab[1:]]
+                # the image's vertex x carries label seeds[r].index(x); f maps
+                # slots, and sends vertex w where it sends the loop (w,w)
+                witness = [seeds[r].index(pool[f[slot[w][w]]][0]) for w in lab[1:]]
         return witness
 
     entries = []
-    for (looped, _), (head, tails, offset, last, _) in shapes.items():
+    for shape, (head, tails, offset, last, _) in shapes.items():
         combos = itertools.combinations(tails, p - len(head))
         at = offset  # index of the next subset of ``combos``
         while (i := marks.find(0, at, last + 1)) >= 0:
@@ -736,7 +766,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
             tail = next(itertools.islice(combos, i - at, None))
             at = i + 1
             g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
-            witness = mark(g, looped)
+            witness = mark(g, shape)
             if witness is not None:
                 verified_window(g, VertexLabeling(tuple(witness)), "census witness")
             entries.append((g, witness is not None))

@@ -82,18 +82,19 @@ def _partitions(n: int, largest: int):
             yield (k,) + rest
 
 
-def polya_class_count(p: int) -> int:
+def polya_class_count(p: int, loops: bool = True) -> int:
     """Number of loop-allowed graphs with p vertices and p edges up to
-    isomorphism, by Pólya counting.
+    isomorphism, by Pólya counting; without ``loops``, of loopless ones.
 
-    S_p acts on the p(p+1)/2 edge slots {i <= j}.  A permutation fixes a
+    S_p acts on the p(p+1)/2 edge slots {i <= j}, or on the p(p-1)/2 slots
+    {i < j} without loops.  A permutation fixes a
     p-edge subset iff the subset is a union of its slot cycles, so the
     number it fixes is the coefficient of t^p in the product over its slot
     cycles of (1 + t^length).  By Burnside's lemma the average of that number
     over S_p is the number of orbits; the cycle index groups the
     permutations by cycle type, p!/centralizer of them per type.
     """
-    slots = [(i, j) for i in range(p) for j in range(i, p)]
+    slots = [(i, j) for i in range(p) for j in range(i if loops else i + 1, p)]
     total = 0
     for shape in _partitions(p, p):
         perm, first = [], 0

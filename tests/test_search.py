@@ -29,6 +29,7 @@ from semforge.search import (
     EXHAUSTED,
     WITNESS,
     ResourceBudget,
+    _block_relabelings,
     _degree_tables,
     _labeled_sem_edge_sets,
     _order_tables,
@@ -560,6 +561,20 @@ class TestCensus:
 
     def test_polya_counts(self):
         assert [polya_class_count(k) for k in range(1, 8)] == [1, 2, 6, 17, 52, 173, 585]
+        assert [polya_class_count(k, loops=False) for k in range(8)] == [1, 0, 0, 1, 2, 6, 21, 65]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_loopless_and_isolated_loop_classes_are_polya(self, k):
+        # a class whose loops are all isolated is j >= 1 loops beside a
+        # loopless class of order k - j, and there are L(k - j) of those
+        isolated = []  # per class, whether each of its loops is isolated
+        for g, _ in _census(k):
+            nbrs, loop = _neighbourhoods(g)
+            isolated.append([not nbrs[v] for v in range(1, k + 1) if loop[v]])
+        assert sum(not loops for loops in isolated) == polya_class_count(k, loops=False)
+        assert sum(bool(loops) and all(loops) for loops in isolated) == sum(
+            polya_class_count(k - j, loops=False) for j in range(1, k + 1)
+        )
 
     def test_order_seven(self):
         entries = _census(7)
@@ -609,23 +624,57 @@ class TestCensus:
             census_equal_order_size(5, ResourceBudget(max_nodes=10))
 
     def test_node_budget_counts_subsets(self):
-        # order 3 visits 8 subsets: (1,1),(1,2),(1,3); (1,1),(1,2) plus one
-        # of the 3 slots with u >= 2; (1,1) plus two of them; (1,2),(1,3),(2,3)
-        assert len(census_equal_order_size(3, ResourceBudget(max_nodes=8))) == 6
+        # order 3 visits 6 subsets: (1,1),(1,2),(1,3); (1,1),(1,2) plus one
+        # of the 3 slots with u >= 2; (1,1),(2,2),(3,3); (1,2),(1,3),(2,3)
+        assert len(census_equal_order_size(3, ResourceBudget(max_nodes=6))) == 6
         with pytest.raises(ResourceLimit):
-            census_equal_order_size(3, ResourceBudget(max_nodes=7))
+            census_equal_order_size(3, ResourceBudget(max_nodes=5))
 
-    @pytest.mark.parametrize("p, subsets", [(5, 427), (6, 5_329)])
+    @staticmethod
+    def _shaped_subsets(p: int) -> int:
+        # looped shapes take r = 0..p-2 of the p(p-1)/2 slots (u,v) with
+        # 2 <= u <= v; the loopless part on n = p - j vertices takes
+        # r = 1..n-2 of its C(n-1, 2) slots with j+2 <= u < v; p isolated
+        # loops are one subset
+        looped = sum(math.comb(p * (p - 1) // 2, r) for r in range(p - 1))
+        loopless = sum(
+            math.comb(math.comb(n - 1, 2), r) for n in range(p + 1) for r in range(1, n - 1)
+        )
+        return looped + loopless + 1
+
+    @pytest.mark.parametrize("p, subsets", [(5, 225), (6, 2_375), (7, 33_273)])
     def test_node_budget_is_the_shaped_subset_count(self, p, subsets):
-        # looped shapes take r = 0..p-1 of the p(p-1)/2 slots (u,v) with
-        # 2 <= u <= v, loopless ones r = 1..p-2 of the C(p-1, 2) with u < v
-        looped = sum(math.comb(p * (p - 1) // 2, r) for r in range(p))
-        loopless = sum(math.comb(math.comb(p - 1, 2), r) for r in range(1, p - 1))
-        assert looped + loopless == subsets
+        assert self._shaped_subsets(p) == subsets
         entries = census_equal_order_size(p, ResourceBudget(max_nodes=subsets))
         assert entries == _census(p)
         with pytest.raises(ResourceLimit, match="node budget"):
             census_equal_order_size(p, ResourceBudget(max_nodes=subsets - 1))
+
+    @pytest.mark.parametrize("p, subsets", [(8, 586_714), (9, 12_509_929)])
+    def test_node_budget_one_short_of_the_shaped_subsets(self, monkeypatch, p, subsets):
+        # the budget is checked before any work; CI runs order 9 under a
+        # budget of exactly its count
+        def no_seeds(*args):
+            raise AssertionError("the census listed labeled SEM graphs")
+
+        monkeypatch.setattr("semforge.search._labeled_sem_edge_sets", no_seeds)
+        assert self._shaped_subsets(p) == subsets
+        with pytest.raises(ResourceLimit, match="node budget"):
+            census_equal_order_size(p, ResourceBudget(max_nodes=subsets - 1))
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_no_relabelings_of_an_isolated_loop_centre(self, monkeypatch, p):
+        # d = 0 would permute all of 2..p about an isolated loop at vertex 1;
+        # the classes with isolated loops are listed by their loopless part
+        degrees = []
+
+        def recorded(p, j, d):
+            degrees.append(d)
+            return _block_relabelings(p, j, d)
+
+        monkeypatch.setattr("semforge.search._block_relabelings", recorded)
+        assert census_equal_order_size(p) == _census(p)
+        assert 0 not in degrees
 
     def test_node_budget_checked_before_any_labeled_sem_graph(self, monkeypatch):
         def no_seeds(*args):
