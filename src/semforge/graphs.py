@@ -216,8 +216,21 @@ def indegree_one_orientation(g: Graph) -> Digraph:
     a loop counting as a cycle.  The unique cycle of each component is oriented
     in ascending-vertex rotation (starting at the smallest cycle vertex, toward
     its smaller cycle neighbour) and tree edges point away from the cycle, so
-    the output is deterministic and degree-1 vertices get outdegree 0.
+    the output is deterministic and degree-1 vertices get outdegree 0.  A
+    graph with fewer edges than vertices is rejected in time and memory
+    proportional to its edges, however large its order.
     """
+    names = range(g.order + 1)
+    if g.size < g.order:
+        # No orientation exists.  To name the first bad component in time and
+        # memory proportional to the edges, check only the vertices on an edge
+        # and the first vertex on none, a component with no cycle, renamed
+        # 1..m in ascending order: the components keep their order.
+        touched = {v for e in g.edges for v in e}
+        touched.add(next(v for v in itertools.count(1) if v not in touched))
+        names = [0, *sorted(touched)]
+        rank = {v: i for i, v in enumerate(names)}
+        g = Graph(len(names) - 1, {(rank[u], rank[v]) for u, v in g.edges})
     n = g.order
     adj, loop = nbhd = _neighbourhoods(g)
     deg = _degrees(nbhd)
@@ -230,7 +243,7 @@ def indegree_one_orientation(g: Graph) -> Digraph:
                 "has no cycle (it is a tree)" if twice_size < 2 * len(comp)
                 else "has more than one independent cycle"
             )
-            raise NoSuchOrientation(f"component {sorted(comp)} {problem}")
+            raise NoSuchOrientation(f"component {sorted(names[v] for v in comp)} {problem}")
     # Strip degree-1 vertices; the survivors form the cycles.  A stripped
     # vertex gets degree 0.
     arcs: list[Arc] = []
@@ -420,71 +433,56 @@ def corona(g: Graph, n: int) -> Graph:
 # "u v" with 1-indexed endpoints ("u u" is a loop).  '#' starts a comment.
 
 
-def _content_lines(text: str) -> list[str]:
+def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int, frozenset]:
+    """``(directed, p, pairs)`` of a graph or digraph file's text.
+
+    With ``directed=None`` the kind is read off the header, three fields
+    making a digraph; a bool requires that kind.  Edges are normalised to
+    ``u <= v``.  A malformed header or pair line is quoted in the error.  The
+    pairs are not yet checked against p: building the graph is left to the
+    caller, after the text and its lines are freed.
+    """
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    return lines
-
-
-def _parse_pairs(lines: list[str], q: int, what: str) -> frozenset:
-    """The q pair lines as one frozenset, edges normalised to ``u <= v``."""
-    if len(lines) != q:
-        raise ValueError(f"expected {q} {what} lines, found {len(lines)}")
-    undirected = what == "edge"
+    if not lines:
+        raise ValueError(f"empty {'digraph' if directed else 'graph'} file")
+    header = lines[0].split()
+    if directed is None:
+        directed = len(header) == 3
+    kind, what, form = ("digraph", "arc", "p q d") if directed else ("graph", "edge", "p q")
+    try:
+        if len(header) != len(form.split()) or (directed and header[2] != "d"):
+            raise ValueError
+        p, q = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"{kind} header must be '{form}', got {lines[0]!r}") from None
+    if len(lines) - 1 != q:
+        raise ValueError(f"expected {q} {what} lines, found {len(lines) - 1}")
     pairs = []
-    for line in lines:
+    for line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed {what} line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        pairs.append((v, u) if undirected and v < u else (u, v))
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"malformed {what} line: {line!r}") from None
+        pairs.append((v, u) if not directed and v < u else (u, v))
     found = frozenset(pairs)
     if len(found) != q:
-        raise ValueError(f"duplicate {what} in {'graph' if undirected else 'digraph'} file")
-    return found
-
-
-def _edge_list(lines: list[str], directed: bool) -> tuple[int, frozenset]:
-    """Order and pair set of a graph or digraph file's content lines; edges
-    are normalised to ``u <= v``."""
-    header = lines[0].split()
-    if directed:
-        if len(header) != 3 or header[2] != "d":
-            raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
-    elif len(header) != 2:
-        raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
-    p, q = int(header[0]), int(header[1])
-    return p, _parse_pairs(lines[1:], q, "arc" if directed else "edge")
+        raise ValueError(f"duplicate {what} in {kind} file")
+    return directed, p, found
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty graph file")
-    return Graph(*_edge_list(lines, False))
+    return Graph(*_read_edge_list(text, False)[1:])
 
 
 def parse_digraph(text: str) -> Digraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty digraph file")
-    return Digraph(*_edge_list(lines, True))
-
-
-def _read_edge_list(text: str) -> tuple[bool, int, frozenset]:
-    """``(directed, p, pairs)`` of a graph or digraph file.
-
-    The pairs are not yet checked against p: building the graph is left to
-    the caller, after the text and its lines are freed.
-    """
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty graph file")
-    directed = len(lines[0].split()) == 3
-    return (directed, *_edge_list(lines, directed))
+    return Digraph(*_read_edge_list(text, True)[1:])
 
 
 def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:

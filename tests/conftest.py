@@ -168,6 +168,14 @@ def reference_two_star_sem(leaves) -> bool:
     return False
 
 
+def _is_int(field: str) -> bool:
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
+
+
 def reference_parse_edge_list(text: str):
     """Naive edge-list parser: ``(directed, p, pairs)`` or ``ValueError``.
 
@@ -185,6 +193,9 @@ def reference_parse_edge_list(text: str):
         raise ValueError(f"digraph header must be 'p q d', got {lines[0]!r}")
     if not directed and len(header) != 2:
         raise ValueError(f"graph header must be 'p q', got {lines[0]!r}")
+    if not all(_is_int(x) for x in header[:2]):
+        form = "digraph header must be 'p q d'" if directed else "graph header must be 'p q'"
+        raise ValueError(f"{form}, got {lines[0]!r}")
     p, q = int(header[0]), int(header[1])
     what, kind = ("arc", "digraph") if directed else ("edge", "graph")
     if len(lines) - 1 != q:
@@ -192,7 +203,7 @@ def reference_parse_edge_list(text: str):
     pairs = []
     for line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(_is_int(x) for x in parts):
             raise ValueError(f"malformed {what} line: {line!r}")
         u, v = int(parts[0]), int(parts[1])
         pairs.append((u, v) if directed else (min(u, v), max(u, v)))

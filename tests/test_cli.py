@@ -241,7 +241,7 @@ class TestDigraphFileAsGraph:
         ("2 2 d\n1 2\n0 1\n", "arc (0,1) has an endpoint outside [1,2]"),
         ("2 2 d\n1 2\n1 2 3\n", "malformed arc line: '1 2 3'"),
         ("2 2 d\n1 2\n", "expected 2 arc lines, found 1"),
-        ("2 1 d\n1 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("2 1 d\n1 x\n", "malformed arc line: '1 x'"),
         ("0 0 d\n", "digraph order must be positive, got 0"),
         ("2 1 e\n1 2\n", "digraph header must be 'p q d', got '2 1 e'"),
     ])
@@ -720,6 +720,19 @@ class TestExitCodeContract:
         _row("construct-repeated-param",
              ["construct", "--family", "lk1n", "--params", "n=1,n=2", "--format", "edgelist"],
              {}, 2, "Error: --params names 'n' more than once"),
+        _row("construct-non-int-param", ["construct", "--family", "lk1n", "--params", "n=x"], {},
+             2, "Error: --params value for 'n' must be an integer"),
+        _row("verify-empty-graph", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
+             {"g.txt": "", "l.json": _TWO_LABELS},
+             2, "Error: cannot read graph file g.txt: empty graph file"),
+        _row("verify-non-int-edge", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
+             {"g.txt": "2 1\n1 x\n", "l.json": _TWO_LABELS},
+             2, "Error: cannot read graph file g.txt: malformed edge line: '1 x'"),
+        _row("verify-edge-outside", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
+             {"g.txt": "2 1\n1 5\n", "l.json": _TWO_LABELS},
+             2, "Error: cannot read graph file g.txt: edge (1,5) has an endpoint outside [1,2]"),
+        _row("search-order-0", ["search", "--graph", "g.txt"], {"g.txt": "0 0\n"},
+             2, "Error: cannot read graph file g.txt: graph order must be positive, got 0"),
         _row("verify-short-labeling", ["verify", *_STAR_ARGS, "--labeling", "l.json"],
              {"star.txt": _STAR, "l.json": _TWO_LABELS},
              2, "Error: labeling has 2 labels but the graph has order 3"),
@@ -744,6 +757,11 @@ class TestExitCodeContract:
         _row("matrix-no-orientation", ["matrix", "--graph", "tree.txt"], {"tree.txt": _TREE},
              2, "Error: tree.txt holds an undirected graph with no indegree-1 orientation: "
                 "component [1, 2, 3] has no cycle (it is a tree)"),
+        # vertex 3 lies on no edge; [4, 8] is a tree too, but comes after it
+        _row("matrix-vertex-on-no-edge", ["matrix", "--graph", "g.txt"],
+             {"g.txt": "9 3\n1 1\n2 2\n4 8\n"},
+             2, "Error: g.txt holds an undirected graph with no indegree-1 orientation: "
+                "component [3] has no cycle (it is a tree)"),
         # one arc, but the header's order alone would ask for 2001 * 2001 cells
         _row("matrix-order-bound", ["matrix", "--graph", "d.txt", "--profile"],
              {"d.txt": "2001 1 d\n1 1\n"}, 3, "adjacency matrix bound is order <= 2000"),

@@ -112,6 +112,10 @@ class TestOddCopies:
             graph = build_odd_copies_lk1n(0, n).graph
             assert is_sem(graph, VertexLabeling(tuple(labels)))[0]
 
+    def test_bad_param(self):
+        with pytest.raises(BadParam, match=r"^need s >= 0 and n >= 1, got s=-1, n=1$"):
+            build_odd_copies_lk1n(-1, 1)
+
     @pytest.mark.parametrize("s,n", [(0, 1), (1, 2), (2, 3), (4, 1), (3, 5)])
     def test_grid(self, s, n):
         cert = build_odd_copies_lk1n(s, n)
@@ -279,6 +283,16 @@ class TestPrimitives:
     def test_caterpillar(self):
         g = caterpillar_graph([1, 0, 1])
         assert (g.order, g.size) == (5, 4)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cycle_graph(2), "cycle needs k >= 3, got 2"),
+        (lambda: caterpillar_graph([]), "caterpillar needs at least one spine vertex"),
+        (lambda: caterpillar_graph([1, -1]), "leaf counts must be non-negative"),
+    ])
+    def test_bad_params(self, build, message):
+        with pytest.raises(BadParam) as info:
+            build()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("counts", [[2.9, "1"], [True], [1, 0.0]])
     def test_caterpillar_rejects_non_int_counts(self, counts):

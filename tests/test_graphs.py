@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -80,6 +81,19 @@ def iso_pairs(draw):
     other = draw(st.lists(st.sampled_from(pool), unique=True,
                           min_size=len(edges), max_size=len(edges)))
     return g, Graph(p, frozenset(other))
+
+
+def cycles(*lengths, loops=False, seed=None) -> Graph:
+    """Disjoint cycles of the given lengths, with a loop on every vertex if
+    ``loops``, and relabeled by a seeded shuffle if ``seed`` is given."""
+    g = disjoint_union([cycle_graph(k) for k in lengths])
+    names = list(range(1, g.order + 1))
+    if seed is not None:
+        random.Random(seed).shuffle(names)
+    edges = {(names[u - 1], names[v - 1]) for u, v in g.edges}
+    if loops:
+        edges |= {(v, v) for v in names}
+    return Graph(g.order, edges)
 
 
 @st.composite
@@ -226,11 +240,29 @@ class TestIndegreeOneOrientation:
          "component [1, 6] has more than one independent cycle"),
         (Graph(8, [(8, 8), (3, 7), (7, 3), (5, 7), (3, 5), (4, 6), (2, 2), (1, 2)]),
          "component [4, 6] has no cycle (it is a tree)"),
+        # fewer edges than vertices: a bad component below the first vertex
+        # on no edge is named before it, one above it is not
+        (Graph(9, [(1, 1), (2, 8), (2, 2), (8, 8), (5, 5)]),
+         "component [2, 8] has more than one independent cycle"),
+        (Graph(9, [(1, 1), (2, 2), (4, 8)]), "component [3] has no cycle (it is a tree)"),
+        (Graph(4, [(1, 2), (2, 3), (3, 4)]), "component [1, 2, 3, 4] has no cycle (it is a tree)"),
+        (Graph(3), "component [1] has no cycle (it is a tree)"),
     ])
     def test_messages(self, g, message):
         with pytest.raises(NoSuchOrientation) as info:
             indegree_one_orientation(g)
         assert str(info.value) == message
+
+    def test_huge_order_costs_no_per_vertex_table(self, monkeypatch):
+        # vertex 2 lies on no edge: it is named without a table of 10**9 rows
+        def small_only(g):
+            assert g.order < 10**9, "per-vertex table of the full order"
+            return _neighbourhoods(g)
+
+        monkeypatch.setattr(graphs, "_neighbourhoods", small_only)
+        with pytest.raises(NoSuchOrientation) as info:
+            indegree_one_orientation(Graph(10**9, {(1, 1)}))
+        assert str(info.value) == "component [2] has no cycle (it is a tree)"
 
     def test_leaves_get_outdegree_zero(self):
         d = indegree_one_orientation(star_with_loop(4))
@@ -353,6 +385,16 @@ class TestIsomorphic:
     @example((Graph(4, [(1, 2), (3, 3)]), Graph(4, [(1, 1), (2, 3)])))
     @example((Graph(4, [(1, 2), (2, 3)]), Graph(4, [(1, 2), (3, 4)])))
     @example((Graph(3, all_possible_edges(3)), Graph(3, all_possible_edges(3))))
+    # 2-regular graphs of one order: refinement leaves one colour class, so
+    # only the backtracking can tell them apart
+    @example((cycles(6), cycles(3, 3)))
+    @example((cycles(6, loops=True), cycles(3, 3, loops=True)))
+    @example((cycles(6), cycles(6, seed=1)))
+    @example((cycles(3, 4), cycles(7, seed=2)))
+    @example((cycles(3, 4), cycles(4, 3, seed=3)))
+    @example((cycles(8), cycles(4, 4, seed=4)))
+    @example((cycles(3, 5), cycles(4, 4, seed=5)))
+    @example((cycles(5, 3), cycles(3, 5, seed=6)))
     def test_agrees_with_brute_force_any_size(self, pair):
         g, h = pair
         assert isomorphic(g, h) == brute_force_isomorphic(g, h)
@@ -406,6 +448,15 @@ class TestUnionAndCorona:
         g = corona(cycle_graph(3), 2)
         assert (g.order, g.size) == (9, 9)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: disjoint_union([]), "disjoint_union needs at least one component"),
+        (lambda: corona(cycle_graph(3), -1), "corona requires n >= 0"),
+    ])
+    def test_rejects(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("k", [3, 4, 5, 7])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_corona_equal_order_size(self, k, n):
@@ -445,12 +496,29 @@ class TestTextFormat:
         assert isinstance(parse_graph_or_digraph("1 1 d\n1 1\n"), Digraph)
         assert isinstance(parse_graph_or_digraph("1 1\n1 1\n"), Graph)
 
+    @pytest.mark.parametrize("parse, message", [
+        (parse_graph, "empty graph file"),
+        (parse_digraph, "empty digraph file"),
+        (parse_graph_or_digraph, "empty graph file"),
+    ])
+    def test_empty_file_rejected(self, parse, message):
+        with pytest.raises(ValueError) as info:
+            parse("# only a comment\n\n")
+        assert str(info.value) == message
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
             parse_graph("2 2\n1 2\n2 1\n")
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
+    # a field that is not an integer: the line that holds it is quoted
+    @example("2 1\n1 x\n")
+    @example("2 1 d\n1 x\n")
+    @example("2 1\n1 2.0\n")
+    @example("a 2\n1 1\n2 2\n")
+    @example("2 b d\n1 1\n")
+    @example("2 2 d\n1 2\n1 y\n")
     def test_parse_matches_reference(self, text):
         try:
             directed, p, pairs = reference_parse_edge_list(text)

@@ -250,6 +250,15 @@ class TestVerifyEdgeMagic:
         full = FullLabeling((1,), (((1, 1), 2),), 5)
         assert not verify_edge_magic(g, full)
 
+    @pytest.mark.parametrize("g, other", [
+        (loop_graph(), Graph(2, [(1, 1)])),  # one vertex more, the same edge
+        (Graph(2, [(1, 2), (2, 2)]), star_with_loop(1)),  # the same order and size
+    ], ids=["vertex-count", "edge-set"])
+    def test_labeling_of_another_graph_fails(self, g, other):
+        full = complete_to_edge_magic(g, identity_labeling(g.order))
+        assert verify_edge_magic(g, full)
+        assert not verify_edge_magic(other, full)
+
 
 class TestCounterdiagonalProfile:
     def test_sem_star_is_compliant(self):

@@ -34,6 +34,7 @@ from semforge.product import (
     corona_iso_check,
     format_assignment,
     kronecker,
+    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,
@@ -242,6 +243,10 @@ class TestCanonicalProductLabeling:
         host = Digraph(2, {(1, 2), (2, 1)})
         with pytest.raises(NotSem):
             canonical_product_labeling(host, VertexLabeling((1, 2)), enumerate_snk(2, 3))
+
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="^family has no members$"):
+            lift_to_product(oriented_cycle(3), identity_labeling(3), LabeledFamily(2, 2, ()))
 
 
 class TestCoronaIso:

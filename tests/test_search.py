@@ -486,6 +486,10 @@ class TestEnumerateSnk:
         with pytest.raises(ResourceLimit):
             enumerate_snk(6, 2)
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            enumerate_snk(0, 2)
+
 
 @cache
 def _census(k: int) -> list:
