@@ -7,9 +7,12 @@ and 1 <= m <= n, plus l+lk1n and 2l+lk1n of order p, each through
 ``certify_not_sem`` under a cap of 20,000,000 nodes and no deadline.  It
 prints one line per order: the instance that took the most nodes, its node
 count and CPU seconds, and how many instances were exhausted, had a witness
-or aborted.  ``DEFAULT_CERTIFY_BOUND`` is the largest order CI exhausts
-through ``certify_not_sem`` and the default ``--max-order``; a larger one is
-an error, so to raise the bound, edit the constant, then sweep up to it.
+or aborted.  After the last line it exits 1 if any instance of any order had
+a witness or aborted, and 0 if every one was exhausted.
+
+``DEFAULT_CERTIFY_BOUND`` is the largest order CI exhausts through
+``certify_not_sem`` and the default ``--max-order``; a larger one is an
+error, so to raise the bound, edit the constant, then sweep up to it.
 
 Run it from the root of a source checkout; it imports ``semforge`` from
 ``src/``.
@@ -28,7 +31,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from semforge.families import loop_graph, star_with_loop  # noqa: E402
 from semforge.graphs import disjoint_union  # noqa: E402
-from semforge.search import DEFAULT_CERTIFY_BOUND, ResourceBudget, certify_not_sem  # noqa: E402
+from semforge.search import (  # noqa: E402
+    DEFAULT_CERTIFY_BOUND,
+    EXHAUSTED,
+    ResourceBudget,
+    certify_not_sem,
+)
 
 NODE_CAP = 20_000_000
 
@@ -52,6 +60,7 @@ def main(argv=None) -> int:
         parser.error("the smallest union in the sweep, l+lk11, has order 3")
     if not args.min_order <= args.max_order <= DEFAULT_CERTIFY_BOUND:
         parser.error(f"--max-order must lie in [--min-order, {DEFAULT_CERTIFY_BOUND}]")
+    all_exhausted = True
     for p in range(args.min_order, args.max_order + 1):
         outcomes = Counter()
         worst = None
@@ -66,7 +75,8 @@ def main(argv=None) -> int:
         counts = ", ".join(f"{n} {outcome}" for outcome, n in sorted(outcomes.items()))
         print(f"p={p:<3} worst {tag:14} {nodes:>12,} nodes {seconds:7.2f} s   ({counts})",
               flush=True)
-    return 0
+        all_exhausted = all_exhausted and outcomes.keys() == {EXHAUSTED}
+    return 0 if all_exhausted else 1
 
 
 if __name__ == "__main__":

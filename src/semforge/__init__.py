@@ -17,7 +17,6 @@ from .errors import (
 from .families import (
     FAMILIES,
     CertifiedLabeledGraph,
-    DeerSpec,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,

@@ -25,34 +25,6 @@ from .labelings import SumWindow, VertexLabeling, verified_window
 
 
 @dataclass(frozen=True)
-class DeerSpec:
-    """Leaf counts along the spine of a deer graph.
-
-    The spine is odd and the counts read the same in both directions; the
-    central spine vertex carries the loop.
-    """
-
-    spine_leaf_counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(self.spine_leaf_counts)
-        for c in counts:
-            if type(c) is not int:
-                raise ValueError(f"leaf counts must be integers, got {c!r}")
-        if len(counts) % 2 == 0 or not counts:
-            raise ValueError("deer spine length must be odd and at least 1")
-        if any(c < 0 for c in counts):
-            raise ValueError("leaf counts must be non-negative")
-        if counts != counts[::-1]:
-            raise ValueError("leaf counts must be palindromic")
-        object.__setattr__(self, "spine_leaf_counts", counts)
-
-    @property
-    def spine_length(self) -> int:
-        return len(self.spine_leaf_counts)
-
-
-@dataclass(frozen=True)
 class CertifiedLabeledGraph:
     """A graph together with a labeling that has passed the SEM verifier.
 
@@ -137,8 +109,6 @@ def build_two_lk11_lk1n(n: int) -> CertifiedLabeledGraph:
     Centers get 3, 5 and 4; their single partners get 6 and 2; the big star's
     leaves take the remaining labels of [1, n+5] in ascending order.
     """
-    if n < 1:
-        raise BadParam(f"need n >= 1, got {n}")
     return replace(build_two_lk1m_lk1n(1, n), provenance=f"2lk11-lk1n(n={n})")
 
 
@@ -231,21 +201,27 @@ def _caterpillar_sweep(counts: Sequence[int]) -> list:
     return labels[1:]
 
 
-def build_deer(spec: DeerSpec | Sequence[int]) -> CertifiedLabeledGraph:
+def build_deer(spec: Sequence[int]) -> CertifiedLabeledGraph:
     """Deer graph: caterpillar with palindromic odd spine plus a central loop.
+
+    ``spec`` is the leaf counts along the spine; the centre c = (t+1)/2 of
+    the spine carries the loop.  ``caterpillar_graph`` checks that they are
+    non-negative integers.
 
     The labeling is the caterpillar's sweep labeling, whose edge sums are
     a+2..a+p.  Spine positions i and t+1-i have the same parity and equal
     leaf counts, so they add equally many vertices to each class, and the
-    centre c = (t+1)/2 adds only itself to its own class: c gets the middle
-    label of its class.  Its loop sum 2f(c) is then a+1 (class A) or a+p+1
-    (class B), which extends the consecutive sums [a+2, a+p] at one end.
+    centre adds only itself to its own class: c gets the middle label of its
+    class.  Its loop sum 2f(c) is then a+1 (class A) or a+p+1 (class B),
+    which extends the consecutive sums [a+2, a+p] at one end.
     """
-    if not isinstance(spec, DeerSpec):
-        spec = DeerSpec(tuple(spec))
-    counts = spec.spine_leaf_counts
-    center = (spec.spine_length + 1) // 2
+    counts = tuple(spec)
+    if len(counts) % 2 == 0:
+        raise BadParam("deer spine length must be odd and at least 1")
+    if counts != counts[::-1]:
+        raise BadParam("leaf counts must be palindromic")
     cat = caterpillar_graph(counts)
+    center = (len(counts) + 1) // 2
     graph = Graph(cat.order, cat.edges | {(center, center)})
     tag = "deer(" + ",".join(str(c) for c in counts) + ")"
     return _certify(graph, _caterpillar_sweep(counts), tag)

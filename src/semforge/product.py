@@ -177,33 +177,29 @@ def corona_iso_check(k: int, n: int) -> bool:
     return isomorphic(product, corona(cycle_graph(k), n))
 
 
-# variant -> the certified family (a ``families.FAMILIES`` name) it draws on
-_CORONA_UNION_VARIANTS = {"i": "2lk11-lk1n", "ii": "2lk1m-lk1n", "iii": "odd-lk1n", "iv": "thm24"}
-
-
-def corona_union_via_product(variant: str, **params):
+def corona_union_via_product(family: str, **params):
     """Corona unions via the product of an oriented cycle with a certified family.
 
     Builds the product of the oriented k-cycle with the single-member family
-    drawn from the matching certified constructor.  For odd k the cycle is SEM
-    and the block labeling is attached (verified); for even k the graph is
-    returned with no labeling.  Returns ``(graph, labeling_or_None)``.
+    drawn from the certified constructor of ``family``, a ``FAMILIES`` name
+    whose other parameters (``spec`` for a deer) are in ``params``.  For odd
+    k the cycle is SEM and the block labeling is attached (verified); for
+    even k the graph is returned with no labeling.  Returns
+    ``(graph, labeling_or_None)``.
     """
-    if variant not in _CORONA_UNION_VARIANTS:
-        raise BadParam(f"unknown variant {variant!r}; expected one of i, ii, iii, iv")
     if "k" not in params:
         raise BadParam("corona union build needs the cycle length k")
     k = params["k"]
-    if k < 3:
-        raise BadParam(f"cycle length must be at least 3, got {k}")
-    cert: CertifiedLabeledGraph = construct_family(_CORONA_UNION_VARIANTS[variant], params)
-    member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
-    family = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     host = indegree_one_orientation(cycle_graph(k))
+    cert = construct_family(family, params, params.get("spec"))
+    if not isinstance(cert, CertifiedLabeledGraph):
+        raise BadParam(f"family {family!r} builds a bare graph with no certified labeling")
+    member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
+    fam = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     if k % 2 == 1:
-        lifted = lift_to_product(host, odd_cycle_labeling(k), family)
+        lifted = lift_to_product(host, odd_cycle_labeling(k), fam)
         return lifted.graph, lifted.labeling
-    return underlying(otimes_h(host, constant_assignment(host), family)), None
+    return underlying(otimes_h(host, constant_assignment(host), fam)), None
 
 
 # --- family directory format ----------------------------------------------------

@@ -466,8 +466,9 @@ def certify_not_sem(
     so a SEM graph of order 25..100 gets its witness.
 
     With ``cross_check`` and order at most 8, the result is compared against
-    the unpruned enumerator; disagreement means the pruning is unsound and
-    raises ``VerificationFailed`` instead of returning.
+    whether the unpruned enumerator yields any SEM bijection, which scans
+    every permutation when it yields none; disagreement means the pruning is
+    unsound and raises ``VerificationFailed`` instead of returning.
     """
     if g.order > DEFAULT_CERTIFY_BOUND:
         raise ResourceLimit(
@@ -475,8 +476,7 @@ def certify_not_sem(
         )
     report = _search(g, "first", budget)
     if cross_check and g.order <= 8 and report.outcome != ABORTED:
-        count, _ = exhaustive_sem_search(g)
-        if (count > 0) != (report.outcome == WITNESS):
+        if (next(sem_bijections(g), None) is not None) != (report.outcome == WITNESS):
             raise VerificationFailed(
                 "pruned search disagrees with exhaustive enumeration on "
                 f"a graph of order {g.order}: pruning is unsound"
@@ -629,24 +629,28 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     if size > budget.max_nodes:
         raise ResourceLimit("census node budget exhausted")
     marks = bytearray(size)
-    # (j, d) -> (_block_relabelings(p, j, d), their slot maps as bytes: n <= 45)
+    # (j, d) -> the slot maps of _block_relabelings(p, j, d), as bytes: n <= 45
     blocks: dict = {}
-    # (j, d, a, b) -> mask: byte x is 1 iff blocks[j, d]'s x-th f has f[a] < f[b]
+    # (j, d, a, b) -> mask: byte x is 1 iff the f of blocks[j, d]'s x-th map has f[a] < f[b]
     ascending: dict = {}
 
     def relabelings(j: int, d: int, pairs: list):
         """Slot maps of the block relabelings past the centre j+1 of degree d
         that keep f[a] < f[b] for every (a, b) in pairs."""
         if (j, d) not in blocks:
-            fs = _block_relabelings(p, j, d)
-            blocks[j, d] = fs, [bytes([slot[f[u]][f[v]] for u, v in pool]) for f in fs]
-        fs, maps = blocks[j, d]
+            blocks[j, d] = [bytes([slot[f[u]][f[v]] for u, v in pool])
+                            for f in _block_relabelings(p, j, d)]
+        maps = blocks[j, d]
         if not pairs:
             return maps
         keep = -1
         for a, b in pairs:
             if (j, d, a, b) not in ascending:
-                ascending[j, d, a, b] = int.from_bytes(bytes(f[a] < f[b] for f in fs), "little")
+                # the map of f sends the loop slot (x,x) to (f[x],f[x]), and
+                # loop slots rise with x, so f[a] < f[b] iff their images do
+                la, lb = slot[a][a], slot[b][b]
+                ascending[j, d, a, b] = int.from_bytes(bytes(m[la] < m[lb] for m in maps),
+                                                       "little")
             keep &= ascending[j, d, a, b]
         return list(itertools.compress(maps, keep.to_bytes(len(maps), "little")))
 

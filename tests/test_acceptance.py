@@ -274,13 +274,13 @@ def test_criterion_7_matrix_properties():
 def test_criterion_8_corona_union_instances():
     start = time.monotonic()
     failures = []
-    graph, labeling = corona_union_via_product("i", k=3, n=1)
+    graph, labeling = corona_union_via_product("2lk11-lk1n", k=3, n=1)
     if labeling is None or not is_sem(graph, labeling)[0]:
-        failures.append("variant i k=3 n=1")
+        failures.append("2lk11-lk1n k=3 n=1")
     for s in (0, 1):
-        graph, labeling = corona_union_via_product("iii", k=3, s=s, n=1)
+        graph, labeling = corona_union_via_product("odd-lk1n", k=3, s=s, n=1)
         if labeling is None or not is_sem(graph, labeling)[0]:
-            failures.append(f"variant iii k=3 s={s} n=1")
+            failures.append(f"odd-lk1n k=3 s={s} n=1")
     sun4 = corona(cycle_graph(4), 1)
     report = find_sem(sun4)
     if report.outcome != WITNESS or not verify_edge_magic(

@@ -7,7 +7,6 @@ import pytest
 from semforge.errors import BadParam
 from semforge.families import (
     FAMILIES,
-    DeerSpec,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
@@ -48,7 +47,8 @@ class TestTwoLk11Lk1n:
         assert (cert.graph.order, cert.graph.size) == (9, 9)
 
     def test_bad_param(self):
-        with pytest.raises(BadParam):
+        # the check of build_two_lk1m_lk1n(1, n)
+        with pytest.raises(BadParam, match=r"^need m, n >= 1, got m=1, n=0$"):
             build_two_lk11_lk1n(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
@@ -204,13 +204,17 @@ class TestDeer:
         assert cert.graph.order == 14
         assert_certified(cert)
 
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            DeerSpec((1, 0))  # even spine
-        with pytest.raises(ValueError):
-            DeerSpec((1, 0, 2))  # not palindromic
-        with pytest.raises(ValueError):
-            DeerSpec((-1,))
+    @pytest.mark.parametrize("counts, message", [
+        ([1, 0], "deer spine length must be odd and at least 1"),
+        ([], "deer spine length must be odd and at least 1"),
+        ([1, 0, 2], "leaf counts must be palindromic"),
+        # the deer checks come first, so the negative count goes unnamed
+        ([-1, 0, 1], "leaf counts must be palindromic"),
+        ([-1], "leaf counts must be non-negative"),
+    ])
+    def test_invalid_specs(self, counts, message):
+        with pytest.raises(BadParam, match=f"^{message}$"):
+            build_deer(counts)
 
     @pytest.mark.parametrize("counts", [[1.7], [True], [1, "0", 1]])
     def test_rejects_non_int_counts(self, counts):

@@ -411,7 +411,25 @@ class TestIsomorphic:
             assert isomorphic(g, h) == brute_force_isomorphic(g, h)
 
 
+    def test_order_bound(self):
+        with pytest.raises(ResourceLimit, match="order <= 512"):
+            isomorphic(Graph(513), Graph(513))
+
+    def test_node_budget(self, monkeypatch):
+        # refinement leaves C6 and C3 ⊔ C3 in one colour class: only the
+        # backtracking, which counts its nodes, tells them apart
+        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 100)
+        assert not isomorphic(cycles(6), cycles(3, 3))
+        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 10)
+        with pytest.raises(ResourceLimit, match="^isomorphism node budget exhausted$"):
+            isomorphic(cycles(6), cycles(3, 3))
+
+
 class TestCanonicalForm:
+    def test_order_bound(self):
+        with pytest.raises(ResourceLimit, match="order <= 10"):
+            canonical_form(Graph(11))
+
     def test_invariant_under_relabeling(self, rng):
         for _ in range(30):
             g = random_equal_order_size_graph(rng, max_order=6)

@@ -119,7 +119,7 @@ def _reject_every_labeling(monkeypatch):
 
 def _pruning_disagrees(monkeypatch):
     # the unpruned enumerator claims a witness on a graph the search exhausts
-    monkeypatch.setattr("semforge.search.exhaustive_sem_search", lambda g: (1, None))
+    monkeypatch.setattr("semforge.search.sem_bijections", lambda g: iter([(1, 2)]))
 
 
 class TestSelfCheck:

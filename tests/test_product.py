@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from semforge.errors import BadAssignment, BadParam, NotSem
 from semforge.families import (
+    build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
     build_two_lk11_lk1n,
@@ -264,46 +265,52 @@ class TestCoronaIso:
 
 
 class TestCoronaUnionBuilds:
-    def test_variant_i_small(self):
-        graph, labeling = corona_union_via_product("i", k=3, n=1)
+    def test_two_lk11_lk1n_small(self):
+        graph, labeling = corona_union_via_product("2lk11-lk1n", k=3, n=1)
         assert graph.order == 18
         assert labeling is not None and is_sem(graph, labeling)[0]
 
-    def test_variant_iii_degenerate(self):
-        graph, labeling = corona_union_via_product("iii", k=3, s=0, n=1)
+    def test_one_copy_is_the_corona(self):
+        graph, labeling = corona_union_via_product("odd-lk1n", k=3, s=0, n=1)
         assert isomorphic(graph, corona(cycle_graph(3), 1))
         assert is_sem(graph, labeling)[0]
 
     def test_even_cycle_gets_no_labeling(self):
-        graph, labeling = corona_union_via_product("i", k=4, n=1)
+        graph, labeling = corona_union_via_product("2lk11-lk1n", k=4, n=1)
         assert graph.order == 24
         assert labeling is None
 
-    def test_variant_ii_and_iv(self):
-        graph, labeling = corona_union_via_product("ii", k=3, m=2, n=1)
+    def test_two_lk1m_lk1n_and_thm24(self):
+        graph, labeling = corona_union_via_product("2lk1m-lk1n", k=3, m=2, n=1)
         assert is_sem(graph, labeling)[0]
-        graph, labeling = corona_union_via_product("iv", k=5, m=1, n=1, s=1)
+        graph, labeling = corona_union_via_product("thm24", k=5, m=1, n=1, s=1)
         assert is_sem(graph, labeling)[0]
 
-    @pytest.mark.parametrize("variant, builder, params", [
-        ("i", build_two_lk11_lk1n, {"n": 2}),
-        ("ii", build_two_lk1m_lk1n, {"m": 2, "n": 1}),
-        ("iii", build_odd_copies_lk1n, {"s": 1, "n": 1}),
-        ("iv", build_mixed_loop_stars, {"m": 1, "n": 1, "s": 1}),
+    @pytest.mark.parametrize("family, builder, params", [
+        ("2lk11-lk1n", build_two_lk11_lk1n, {"n": 2}),
+        ("2lk1m-lk1n", build_two_lk1m_lk1n, {"m": 2, "n": 1}),
+        ("odd-lk1n", build_odd_copies_lk1n, {"s": 1, "n": 1}),
+        ("thm24", build_mixed_loop_stars, {"m": 1, "n": 1, "s": 1}),
+        ("deer", build_deer, {"spec": [1, 0, 1]}),
     ])
-    def test_variant_draws_its_certified_family(self, variant, builder, params):
-        # the four families have orders 7, 8, 6 and 10 here, so a swap shows
-        graph, labeling = corona_union_via_product(variant, k=3, **params)
+    def test_family_draws_its_certified_constructor(self, family, builder, params):
+        # the five families have orders 7, 8, 6, 10 and 5 here, so a swap shows
+        graph, labeling = corona_union_via_product(family, k=3, **params)
         assert graph.order == 3 * builder(**params).graph.order
         assert is_sem(graph, labeling)[0]
 
-    def test_bad_params(self):
-        with pytest.raises(BadParam):
-            corona_union_via_product("v", k=3, n=1)
-        with pytest.raises(BadParam):
-            corona_union_via_product("i", k=2, n=1)
-        with pytest.raises(BadParam):
-            corona_union_via_product("i", n=1)
+    @pytest.mark.parametrize("family, params, message", [
+        ("v", {"k": 3, "n": 1}, r"^unknown family 'v'$"),
+        ("2lk11-lk1n", {"k": 2, "n": 1}, r"^cycle needs k >= 3, got 2$"),
+        ("2lk11-lk1n", {"n": 1}, r"^corona union build needs the cycle length k$"),
+        ("2lk11-lk1n", {"k": 3}, r"needs parameters n"),
+        # primitive families build a bare graph, with no labeling to lift
+        ("cycle", {"k": 3}, r"^family 'cycle' builds a bare graph"),
+        ("lk1n", {"k": 3, "n": 1}, r"^family 'lk1n' builds a bare graph"),
+    ])
+    def test_bad_params(self, family, params, message):
+        with pytest.raises(BadParam, match=message):
+            corona_union_via_product(family, **params)
 
 
 class TestFamilyIO:

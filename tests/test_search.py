@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -29,6 +30,7 @@ from semforge.search import (
     EXHAUSTED,
     WITNESS,
     ResourceBudget,
+    SearchReport,
     _block_relabelings,
     _degree_tables,
     _labeled_sem_edge_sets,
@@ -356,8 +358,8 @@ class TestCertify:
     @staticmethod
     def _sweep(max_order, min_order=3):
         """The sweep script's lines, checked to cover orders
-        min_order..max_order with every forest exhausted (no witness, no
-        abort)."""
+        min_order..max_order; its exit status 0 says every forest was
+        exhausted (no witness, no abort)."""
         out = subprocess.run([sys.executable, str(SWEEP_SCRIPT), "--min-order", str(min_order),
                               "--max-order", str(max_order)],
                              capture_output=True, text=True, check=True).stdout
@@ -365,19 +367,27 @@ class TestCertify:
         assert [line.split()[0] for line in lines] == [
             f"p={p}" for p in range(min_order, max_order + 1)
         ]
-        assert not [line for line in lines if "witness" in line or "aborted" in line]
         return lines
-
-    def test_sweep_script(self):
-        assert self._sweep(12)[-1].split()[2:4] == ["2l+lk19", "204"]
 
     def test_sweep_script_to_the_first_mode_bound(self):
         # backs the README's worst case of orders 3-24
-        assert self._sweep(24)[-1].split()[2:4] == ["2l+lk121", "1,899"]
+        lines = self._sweep(24)
+        assert lines[9].split()[2:4] == ["2l+lk19", "204"]
+        assert lines[-1].split()[2:4] == ["2l+lk121", "1,899"]
 
     def test_sweep_script_past_the_first_mode_bound(self):
         # certify_not_sem checks the certification bound, not find_sem's first-mode bound of 24
         assert self._sweep(40, min_order=25)[-1].split()[2:4] == ["2l+lk137", "9,561"]
+
+    def test_sweep_script_fails_on_an_aborted_union(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "path", [*sys.path])  # the script prepends src/
+        spec = importlib.util.spec_from_file_location("certify_sweep", SWEEP_SCRIPT)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        aborted = SearchReport(ABORTED, None, None, 0, 0.0, ResourceBudget())
+        monkeypatch.setattr(sweep, "certify_not_sem", lambda g, budget: aborted)
+        assert sweep.main(["--min-order", "3", "--max-order", "3"]) == 1
+        assert "(1 aborted)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("orders", [["--max-order", str(DEFAULT_CERTIFY_BOUND + 1)],
                                         ["--min-order", "10", "--max-order", "9"]],
