@@ -340,10 +340,6 @@ def matrix(graph_path, labeling_path, rotate, profile_, out):
     """Print the 0/1 adjacency matrix, optionally rotated or profiled."""
     d = _load_digraph(graph_path)
     relabel = _load_labeling(labeling_path) if labeling_path else None
-    if relabel is not None and relabel.order != d.order:
-        raise click.UsageError(
-            f"labeling has {relabel.order} labels but the digraph has order {d.order}"
-        )
     mat = adjacency_matrix(d, relabel)
     if rotate:
         mat = rotate_pi(mat)

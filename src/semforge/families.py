@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadParam
-from .graphs import Graph, disjoint_union
+from .graphs import Graph, check_build_bound, disjoint_union
 from .labelings import SumWindow, VertexLabeling, verified_window
 
 
@@ -55,6 +55,7 @@ def star_with_loop(n: int) -> Graph:
     """Star with n leaves and a loop at the center; center is vertex 1."""
     if n < 0:
         raise BadParam(f"star_with_loop needs n >= 0, got {n}")
+    check_build_bound(n + 1)
     edges = {(1, 1)}
     edges.update((1, j) for j in range(2, n + 2))
     return Graph(n + 1, frozenset(edges))
@@ -63,6 +64,7 @@ def star_with_loop(n: int) -> Graph:
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise BadParam(f"cycle needs k >= 3, got {k}")
+    check_build_bound(k)
     edges = {(i, i + 1) for i in range(1, k)}
     edges.add((1, k))
     return Graph(k, frozenset(edges))
@@ -82,6 +84,7 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
         raise BadParam("caterpillar needs at least one spine vertex")
     if any(c < 0 for c in counts):
         raise BadParam("leaf counts must be non-negative")
+    check_build_bound(t + sum(counts))
     edges = {(i, i + 1) for i in range(1, t)}
     for i, leaves in enumerate(_leaf_ids(counts), start=1):
         edges.update((i, leaf) for leaf in leaves)
@@ -121,6 +124,7 @@ def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
     """
     if m < 1 or n < 1:
         raise BadParam(f"need m, n >= 1, got m={m}, n={n}")
+    check_build_bound(2 * m + n + 3)
     graph = disjoint_union([star_with_loop(m), star_with_loop(m), star_with_loop(n)])
     raw = [3, 6, *range(0, 2 - 2 * m, -2)]
     raw += [5, 2, *range(-1, 1 - 2 * m, -2)]
@@ -140,6 +144,7 @@ def build_odd_copies_lk1n(s: int, n: int) -> CertifiedLabeledGraph:
     if s < 0 or n < 1:
         raise BadParam(f"need s >= 0 and n >= 1, got s={s}, n={n}")
     copies = 2 * s + 1
+    check_build_bound(copies * (n + 1))
     graph = disjoint_union([star_with_loop(n)] * copies)
     labels = []
     for i in range(1, copies + 1):
@@ -163,6 +168,7 @@ def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:
     """
     if m < 1 or n < 1 or s < 1:
         raise BadParam(f"need m, n, s >= 1, got m={m}, n={n}, s={s}")
+    check_build_bound(m + 2 * n + 4 * s + 3)
     comps = [star_with_loop(m), star_with_loop(n), star_with_loop(n)]
     comps.extend([star_with_loop(1)] * (2 * s))
     graph = disjoint_union(comps)

@@ -24,6 +24,8 @@ DEFAULT_ISO_ORDER_BOUND = 512
 DEFAULT_ISO_NODE_BUDGET = 10_000_000
 DEFAULT_CANONICAL_ORDER_BOUND = 10
 MATRIX_ORDER_BOUND = 2000  # p * p cells of about 16 bytes each: 64 MB at the bound
+# construct and product: at most about 370 MiB and 9 s of CPU at the bound (2-vCPU VM)
+BUILD_ORDER_BOUND = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,13 @@ def _check_order(order, kind: str) -> None:
         raise ValueError(f"{kind} order must be positive, got {order}")
 
 
+def check_build_bound(count: int, what: str = "order") -> None:
+    """Raise ``ResourceLimit`` when a graph about to be built would have more
+    than ``BUILD_ORDER_BOUND`` vertices (``what="order"``) or arcs (``"size"``)."""
+    if count > BUILD_ORDER_BOUND:
+        raise ResourceLimit(f"construction bound is {what} <= {BUILD_ORDER_BOUND}, got {count}")
+
+
 def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
     """The edge (``kind="edge"``) or arc set of a graph of the given order.
 
@@ -158,7 +167,7 @@ def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
         elif u < 1 or v > order:
             outside = True
     if unsorted and kind == "edge":
-        pairs = frozenset((u, v) if u <= v else (v, u) for u, v in pairs)
+        pairs = frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in pairs)
     if outside:
         u, v = min(e for e in pairs if not (1 <= e[0] <= order and 1 <= e[1] <= order))
         raise ValueError(f"{kind} ({u},{v}) has an endpoint outside [1,{order}]")
@@ -192,12 +201,14 @@ class AdjacencyMatrix:
 
 def underlying(d: Digraph) -> Graph:
     """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops."""
-    return Graph(d.order, frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in d.arcs))
+    return Graph(d.order, d.arcs)
 
 
 def _bijection(labeling: "VertexLabeling | Sequence[int]", n: int) -> list[int]:
     """The labels of a relabeling, checked to be ``int`` names covering [1,n]."""
     names = list(getattr(labeling, "labels", labeling))
+    if len(names) != n:
+        raise ValueError(f"labeling has {len(names)} labels but the digraph has order {n}")
     if not set(map(type, names)) <= {int} or sorted(names) != list(range(1, n + 1)):
         raise ValueError("relabeling must be a bijection on [1,n]")
     return names
@@ -288,19 +299,17 @@ def adjacency_matrix(
     """Adjacency matrix of d, optionally with vertices renamed by a bijection.
 
     With ``relabel`` given, entry (f(a), f(b)) is 1 iff (a, b) is an arc, i.e.
-    the vertices take the name of their labels.  Above ``MATRIX_ORDER_BOUND``
-    it raises ``ResourceLimit`` before allocating anything.
+    the vertices take the name of their labels.  It checks ``relabel`` first,
+    then raises ``ResourceLimit`` above ``MATRIX_ORDER_BOUND`` before allocating.
     """
+    if relabel is not None:
+        d = relabel_digraph(d, relabel)
     n = d.order
     if n > MATRIX_ORDER_BOUND:
         raise ResourceLimit(f"adjacency matrix bound is order <= {MATRIX_ORDER_BOUND}")
-    if relabel is None:
-        names = list(range(1, n + 1))
-    else:
-        names = _bijection(relabel, n)
     rows = [[0] * n for _ in range(n)]
     for a, b in d.arcs:
-        rows[names[a - 1] - 1][names[b - 1] - 1] = 1
+        rows[a - 1][b - 1] = 1
     return AdjacencyMatrix(tuple(tuple(row) for row in rows))
 
 
@@ -463,11 +472,9 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
         raise ValueError(f"expected {q} {what} lines, found {len(lines) - 1}")
     pairs = []
     for line in lines[1:]:
-        parts = line.split()
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            u, v = int(parts[0]), int(parts[1])
+        try:  # unpacking raises ValueError unless there are two fields
+            u, v = line.split()
+            u, v = int(u), int(v)
         except ValueError:
             raise ValueError(f"malformed {what} line: {line!r}") from None
         pairs.append((v, u) if not directed and v < u else (u, v))

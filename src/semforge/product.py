@@ -26,6 +26,7 @@ from .families import (
 from .graphs import (
     Arc,
     Digraph,
+    check_build_bound,
     corona,
     format_digraph,
     indegree_one_orientation,
@@ -84,8 +85,11 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     and (i,j) an arc of the member assigned to it.
 
     Product vertex (a, i) is encoded as n(a-1)+i, so outputs are deterministic.
+    Its order and size are checked against ``BUILD_ORDER_BOUND`` first.
     """
     n = family.n
+    check_build_bound(host.order * n)
+    check_build_bound(host.size * n, "size")
     members = family.members
     host_arcs = host.sorted_arcs
     missing = [arc for arc in host_arcs if arc not in assignment]

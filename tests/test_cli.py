@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semforge import graphs
 from semforge.cli import _Command, export_dot, main
 from semforge.families import (
     build_two_lk11_lk1n,
@@ -554,6 +555,43 @@ class TestProductCommand:
         assert result.output.endswith(f"Error: --snk must be two integers N,K, got {snk!r}\n")
 
 
+class TestBuildBound:
+    """``construct`` and ``product`` exit 3 above ``BUILD_ORDER_BOUND``, here
+    monkeypatched to 6, so a regression allocates nothing large."""
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 6)
+        monkeypatch.chdir(tmp_path)
+        for k in (3, 5):
+            Path(f"c{k}.txt").write_text(format_graph(cycle_graph(k)))
+            Path(f"c{k}lab.json").write_text(json.dumps(labeling_json(
+                cycle_graph(k), odd_cycle_labeling(k))))
+        save_family(enumerate_snk(2, 2), "fam")
+
+    @pytest.mark.parametrize("args, within", [
+        (["--family", "lk1n", "--params", "n={}", "--format", "edgelist"], 5),
+        (["--family", "odd-lk1n", "--params", "s=0,n={}"], 5),
+    ], ids=["lk1n", "odd-lk1n"])
+    def test_construct(self, runner, args, within):
+        result = runner.invoke(main, ["construct", *(a.format(within) for a in args)])
+        assert result.exit_code == 0
+        result = runner.invoke(main, ["construct", *(a.format(within + 1) for a in args)])
+        assert result.exit_code == 3
+        assert result.output == "construction bound is order <= 6, got 7\n"
+
+    @pytest.mark.parametrize("source", [["--snk", "2,2"], ["--family-dir", "fam"]],
+                             ids=["snk", "family-dir"])
+    @pytest.mark.parametrize("emit", [[], ["--emit", "labeling", "--host-labeling", "c{}lab.json"]],
+                             ids=["digraph", "labeling"])
+    def test_product(self, runner, source, emit):
+        for k, code in ((3, 0), (5, 3)):
+            args = ["product", "--graph", f"c{k}.txt", *source, *(a.format(k) for a in emit)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == code
+        assert result.output == "construction bound is order <= 6, got 10\n"
+
+
 class TestCensusCommand:
     def test_order_two(self, runner):
         result = runner.invoke(main, ["census", "--order", "2"])
@@ -825,6 +863,10 @@ class TestExitCodeContract:
         _row("product-member-negative",
              ["product", *_STAR_ARGS, "--snk", "2,2", "--member", "-1"], {"star.txt": _STAR},
              2, "Error: --member -1 is outside the family, which has 2 members"),
+        # one arc, but the header's order alone would ask for 2 * 10^9 vertices
+        _row("product-order-bound", ["product", "--graph", "d.txt", "--snk", "2,3"],
+             {"d.txt": "1000000000 1 d\n1 1\n"},
+             3, "construction bound is order <= 1000000, got 2000000000"),
         _row("census-order-0", ["census", "--order", "0"], {},
              2, "Error: census supports 1 <= p <= 9, got 0"),
         _row("census-order-10", ["census", "--order", "10"], {}, 3, "census bound is order <= 9"),

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from semforge.errors import BadParam
+from semforge import families, graphs
+from semforge.errors import BadParam, ResourceLimit
 from semforge.families import (
     FAMILIES,
     build_deer,
@@ -369,3 +370,47 @@ class TestFamiliesTable:
             spec = None if missing == "spec" else MINIMAL_ARGS["spec"]
             with pytest.raises(BadParam, match=f"{name} needs"):
                 construct_family(name, params, spec)
+
+
+# (family, params, spec) at order 12 and above it, for a bound of 12; an
+# odd-lk1n union has an order divisible by 2s+1, so its next order is 15
+BOUND_CASES = [
+    ("lk1n", {"n": 11}, None, {"n": 12}, None),
+    ("cycle", {"k": 12}, None, {"k": 13}, None),
+    ("caterpillar", {}, [3, 3, 3], {}, [3, 4, 3]),
+    ("deer", {}, [3, 3, 3], {}, [3, 4, 3]),
+    ("2lk11-lk1n", {"n": 7}, None, {"n": 8}, None),
+    ("2lk1m-lk1n", {"m": 2, "n": 5}, None, {"m": 2, "n": 6}, None),
+    ("odd-lk1n", {"s": 1, "n": 3}, None, {"s": 1, "n": 4}, None),
+    ("thm24", {"m": 1, "n": 2, "s": 1}, None, {"m": 2, "n": 2, "s": 1}, None),
+]
+
+
+class TestBuildBound:
+    """The bound is monkeypatched to 12, so a regression allocates nothing large."""
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 12)
+
+    @pytest.mark.parametrize("name, at, at_spec, above, above_spec", BOUND_CASES,
+                             ids=[case[0] for case in BOUND_CASES])
+    def test_bound_is_inclusive(self, name, at, at_spec, above, above_spec):
+        result = construct_family(name, at, at_spec)
+        assert getattr(result, "graph", result).order == 12
+        with pytest.raises(ResourceLimit, match=r"^construction bound is order <= 12, got 1[35]$"):
+            construct_family(name, above, above_spec)
+
+    @pytest.mark.parametrize("name, params", [
+        ("2lk1m-lk1n", {"m": 4, "n": 4}),
+        ("odd-lk1n", {"s": 2, "n": 4}),
+        ("thm24", {"m": 1, "n": 1, "s": 10**9}),
+    ])
+    def test_union_is_checked_before_its_stars(self, name, params, monkeypatch):
+        # every star is within the bound, but their union is not
+        def no_star(n):
+            raise AssertionError("a star was built above the bound")
+
+        monkeypatch.setattr(families, "star_with_loop", no_star)
+        with pytest.raises(ResourceLimit, match="construction bound is order <= 12"):
+            construct_family(name, params)

@@ -210,6 +210,10 @@ class TestUnderlying:
         d = Digraph(3, [(1, 1), (1, 2), (1, 3)])
         assert underlying(d) == star_with_loop(2)
 
+    def test_ordered_arcs_are_not_copied(self):
+        d = Digraph(3, [(1, 1), (1, 2), (2, 3)])
+        assert underlying(d).edges is d.arcs
+
 
 class TestIndegreeOneOrientation:
     def test_star_with_loop_forced(self):
@@ -334,6 +338,14 @@ class TestAdjacencyMatrix:
         assert adjacency_matrix(Digraph(2, [(1, 2)])).rows == ((0, 1), (0, 0))
         with pytest.raises(ResourceLimit):
             adjacency_matrix(Digraph(3, [(1, 2)]))
+
+    def test_relabeling_checked_before_order_bound(self, monkeypatch):
+        # a short labeling stays malformed input above the bound
+        monkeypatch.setattr(graphs, "MATRIX_ORDER_BOUND", 2)
+        with pytest.raises(ValueError, match="labeling has 2 labels"):
+            adjacency_matrix(Digraph(3, [(1, 2)]), [1, 2])
+        with pytest.raises(ResourceLimit):
+            adjacency_matrix(Digraph(3, [(1, 2)]), [3, 1, 2])
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -488,6 +500,12 @@ class TestRelabelDigraph:
         r = relabel_digraph(d, [2, 1])
         assert r.arcs == frozenset({(2, 2), (2, 1)})
 
+    @pytest.mark.parametrize("names", [[1, 2], [1, 2, 3, 4]])
+    def test_rejects_wrong_length(self, names):
+        message = f"^labeling has {len(names)} labels but the digraph has order 3$"
+        with pytest.raises(ValueError, match=message):
+            relabel_digraph(Digraph(3, [(1, 2)]), names)
+
     @pytest.mark.parametrize("relabel", [relabel_digraph, adjacency_matrix])
     @pytest.mark.parametrize("names", [[2.0, 1.0], [True, 2]])
     def test_rejects_non_int_names(self, relabel, names):
@@ -537,6 +555,9 @@ class TestTextFormat:
     @example("a 2\n1 1\n2 2\n")
     @example("2 b d\n1 1\n")
     @example("2 2 d\n1 2\n1 y\n")
+    # one field or three on a pair line: quoted the same way
+    @example("2 1\n1\n")
+    @example("2 1 d\n1 2 1\n")
     def test_parse_matches_reference(self, text):
         try:
             directed, p, pairs = reference_parse_edge_list(text)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semforge.errors import BadAssignment, BadParam, NotSem
+from semforge import graphs
+from semforge.errors import BadAssignment, BadParam, NotSem, ResourceLimit
 from semforge.families import (
     build_deer,
     build_mixed_loop_stars,
@@ -114,6 +115,30 @@ class TestOtimesH:
     def test_member_index_out_of_range(self):
         with pytest.raises(BadAssignment):
             otimes_h(LOOP_D, {(1, 1): 5}, S22)
+
+    def test_order_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 6)
+        host = oriented_cycle(3)
+        assert otimes_h(host, constant_assignment(host), S22).order == 6
+        host = oriented_cycle(4)
+        with pytest.raises(ResourceLimit, match=r"^construction bound is order <= 6, got 8$"):
+            otimes_h(host, constant_assignment(host), S22)
+
+    def test_size_bound_is_inclusive(self, monkeypatch):
+        # four arcs on two vertices: the product's size, not its order, is too large
+        host = Digraph(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+        family = LabeledFamily(1, 2, (LOOP_D,))
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 4)
+        assert otimes_h(host, constant_assignment(host), family).size == 4
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 3)
+        with pytest.raises(ResourceLimit, match=r"^construction bound is size <= 3, got 4$"):
+            otimes_h(host, constant_assignment(host), family)
+
+    def test_bound_before_the_assignment(self, monkeypatch):
+        # nothing is read from the assignment above the bound
+        monkeypatch.setattr(graphs, "BUILD_ORDER_BOUND", 5)
+        with pytest.raises(ResourceLimit):
+            otimes_h(oriented_cycle(3), {}, S22)
 
     @pytest.mark.parametrize("assignment, message", [
         ({(2, 3): 0}, "assignment misses host arcs [(1, 2), (3, 1)]"),
