@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import search as search_mod
 from .errors import NoSuchOrientation, ResourceLimit
-from .families import CertifiedLabeledGraph, construct_family
+from .families import FAMILIES, CertifiedLabeledGraph, construct_family
 from .graphs import (
     Digraph,
     Graph,
@@ -207,16 +208,18 @@ def main():
 @click.option("--out", default=None, help="Write output to this file instead of stdout.")
 def construct(family_name, params, spec, fmt, out):
     """Build a certified family instance or a primitive graph."""
-    result = construct_family(family_name, _params_dict(params), _spec_list(spec))
+    params, spec = _params_dict(params), _spec_list(spec)
+    # refused by name, before a primitive of any size is built
+    if fmt == "json" and family_name in FAMILIES and FAMILIES[family_name][2]:
+        raise click.UsageError(
+            f"{family_name} is a primitive with no labeling; use --format edgelist or dot"
+        )
+    result = construct_family(family_name, params, spec)
     if isinstance(result, CertifiedLabeledGraph):
         graph, labeling = result.graph, result.labeling
     else:
         graph, labeling = result, None
     if fmt == "json":
-        if labeling is None:
-            raise click.UsageError(
-                f"{family_name} is a primitive with no labeling; use --format edgelist or dot"
-            )
         _emit(json.dumps(certificate_json(result)) + "\n", out)
     elif fmt == "edgelist":
         _emit(format_graph(graph), out)
@@ -263,7 +266,8 @@ def certify(graph_path, cross_check, node_budget, timeout, out):
 @click.option("--snk", default=None, help="N,K — enumerate the family instead of loading one.")
 @click.option("--assignment", "assignment_path", default=None,
               help="File of 'a b member_index' lines; default assigns every arc --member.")
-@click.option("--member", type=int, default=0, show_default=True)
+@click.option("--member", type=int, default=0, show_default=True,
+              help="Member index of every arc; not with --assignment.")
 @click.option("--host-labeling", "host_labeling_path", default=None)
 @click.option("--emit", "emit_what", type=click.Choice(["digraph", "labeling"]), default="digraph")
 @click.option("--out", default=None)
@@ -273,6 +277,9 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
     host = _load_digraph(host_path)
     if (family_dir is None) == (snk is None):
         raise click.UsageError("give exactly one of --family-dir or --snk")
+    member_given = click.get_current_context().get_parameter_source("member")
+    if assignment_path is not None and member_given is not ParameterSource.DEFAULT:
+        raise click.UsageError("give --member or --assignment, not both")
     if snk is not None:
         try:
             n, k = (int(x) for x in snk.split(","))

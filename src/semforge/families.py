@@ -245,18 +245,19 @@ def odd_cycle_labeling(k: int) -> VertexLabeling:
     return _certify(cycle_graph(k), _caterpillar_sweep([0] * k), f"odd-cycle(k={k})").labeling
 
 
-# name -> (parameter names, builder called with them in that order); ``spec``
+# name -> (parameter names, builder called with them in that order, whether
+# it is a primitive: a bare ``Graph`` with no certified labeling); ``spec``
 # is the spine leaf counts of a caterpillar or a deer
 FAMILIES = {
-    "l": ((), loop_graph),
-    "lk1n": (("n",), star_with_loop),
-    "cycle": (("k",), cycle_graph),
-    "caterpillar": (("spec",), caterpillar_graph),
-    "deer": (("spec",), build_deer),
-    "2lk11-lk1n": (("n",), build_two_lk11_lk1n),
-    "2lk1m-lk1n": (("m", "n"), build_two_lk1m_lk1n),
-    "odd-lk1n": (("s", "n"), build_odd_copies_lk1n),
-    "thm24": (("m", "n", "s"), build_mixed_loop_stars),
+    "l": ((), loop_graph, True),
+    "lk1n": (("n",), star_with_loop, True),
+    "cycle": (("k",), cycle_graph, True),
+    "caterpillar": (("spec",), caterpillar_graph, True),
+    "deer": (("spec",), build_deer, False),
+    "2lk11-lk1n": (("n",), build_two_lk11_lk1n, False),
+    "2lk1m-lk1n": (("m", "n"), build_two_lk1m_lk1n, False),
+    "odd-lk1n": (("s", "n"), build_odd_copies_lk1n, False),
+    "thm24": (("m", "n", "s"), build_mixed_loop_stars, False),
 }
 
 
@@ -270,7 +271,7 @@ def construct_family(
     """
     if name not in FAMILIES:
         raise BadParam(f"unknown family {name!r}")
-    arg_names, build = FAMILIES[name]
+    arg_names, build, _ = FAMILIES[name]
     args = {**(params or {}), "spec": spec}
     if any(args.get(a) is None for a in arg_names):
         if "spec" in arg_names:

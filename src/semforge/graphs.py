@@ -140,11 +140,17 @@ def check_build_bound(count: int, what: str = "order") -> None:
         raise ResourceLimit(f"construction bound is {what} <= {BUILD_ORDER_BOUND}, got {count}")
 
 
+def _edge(pair: tuple) -> Edge:
+    """The edge joining the two vertices of ``pair``, ordered ``u <= v``; an
+    ordered pair is returned as it is."""
+    return pair if pair[0] <= pair[1] else (pair[1], pair[0])
+
+
 def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
     """The edge (``kind="edge"``) or arc set of a graph of the given order.
 
     Every member must be a pair of ``int`` vertices in [1, order]; ``bool`` is
-    not a vertex.  Edges are normalised to ``u <= v``.  A frozenset of tuples
+    not a vertex.  Edges are normalised by ``_edge``.  A frozenset of tuples
     that needs no normalising is kept as it is, so a set built by a parser or
     an operation is checked in one pass and not copied.
     """
@@ -167,7 +173,7 @@ def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
         elif u < 1 or v > order:
             outside = True
     if unsorted and kind == "edge":
-        pairs = frozenset(e if e[0] <= e[1] else (e[1], e[0]) for e in pairs)
+        pairs = frozenset(map(_edge, pairs))
     if outside:
         u, v = min(e for e in pairs if not (1 <= e[0] <= order and 1 <= e[1] <= order))
         raise ValueError(f"{kind} ({u},{v}) has an endpoint outside [1,{order}]")
@@ -204,19 +210,15 @@ def underlying(d: Digraph) -> Graph:
     return Graph(d.order, d.arcs)
 
 
-def _bijection(labeling: "VertexLabeling | Sequence[int]", n: int) -> list[int]:
-    """The labels of a relabeling, checked to be ``int`` names covering [1,n]."""
-    names = list(getattr(labeling, "labels", labeling))
-    if len(names) != n:
-        raise ValueError(f"labeling has {len(names)} labels but the digraph has order {n}")
-    if not set(map(type, names)) <= {int} or sorted(names) != list(range(1, n + 1)):
-        raise ValueError("relabeling must be a bijection on [1,n]")
-    return names
+def relabel_digraph(d: Digraph, labeling: "VertexLabeling") -> Digraph:
+    """Rename each vertex by its label, so vertex names and labels coincide.
 
-
-def relabel_digraph(d: Digraph, labeling: "VertexLabeling | Sequence[int]") -> Digraph:
-    """Rename each vertex by its label, so vertex names and labels coincide."""
-    names = _bijection(labeling, d.order)
+    ``labeling`` is a ``VertexLabeling``, which is a bijection by
+    construction; only its order is checked against d's here.
+    """
+    names = labeling.labels
+    if len(names) != d.order:
+        raise ValueError(f"labeling has {len(names)} labels but the digraph has order {d.order}")
     return Digraph(d.order, frozenset((names[a - 1], names[b - 1]) for a, b in d.arcs))
 
 
@@ -293,14 +295,13 @@ def indegree_one_orientation(g: Graph) -> Digraph:
     return Digraph(g.order, frozenset(arcs))
 
 
-def adjacency_matrix(
-    d: Digraph, relabel: "VertexLabeling | Sequence[int] | None" = None
-) -> AdjacencyMatrix:
-    """Adjacency matrix of d, optionally with vertices renamed by a bijection.
+def adjacency_matrix(d: Digraph, relabel: "VertexLabeling | None" = None) -> AdjacencyMatrix:
+    """Adjacency matrix of d, optionally with vertices renamed by a ``VertexLabeling``.
 
     With ``relabel`` given, entry (f(a), f(b)) is 1 iff (a, b) is an arc, i.e.
-    the vertices take the name of their labels.  It checks ``relabel`` first,
-    then raises ``ResourceLimit`` above ``MATRIX_ORDER_BOUND`` before allocating.
+    the vertices take the name of their labels.  It checks the order of
+    ``relabel`` first, then raises ``ResourceLimit`` above
+    ``MATRIX_ORDER_BOUND`` before allocating.
     """
     if relabel is not None:
         d = relabel_digraph(d, relabel)
@@ -386,14 +387,7 @@ def canonical_form(g: Graph) -> Graph:
         raise ResourceLimit(f"canonical form bound is order <= {DEFAULT_CANONICAL_ORDER_BOUND}")
     best = None
     for perm in itertools.permutations(range(1, g.order + 1)):
-        img = tuple(
-            sorted(
-                (perm[u - 1], perm[v - 1])
-                if perm[u - 1] <= perm[v - 1]
-                else (perm[v - 1], perm[u - 1])
-                for u, v in g.edges
-            )
-        )
+        img = tuple(sorted(_edge((perm[u - 1], perm[v - 1])) for u, v in g.edges))
         if best is None or img < best:
             best = img
     return Graph(g.order, frozenset(best))
@@ -442,20 +436,23 @@ def corona(g: Graph, n: int) -> Graph:
 # "u v" with 1-indexed endpoints ("u u" is a loop).  '#' starts a comment.
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of a text file that hold something: each with its ``#``
+    comment and surrounding whitespace cut, blank ones dropped.  An error
+    about a line quotes it in this form."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
 def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int, frozenset]:
     """``(directed, p, pairs)`` of a graph or digraph file's text.
 
     With ``directed=None`` the kind is read off the header, three fields
-    making a digraph; a bool requires that kind.  Edges are normalised to
-    ``u <= v``.  A malformed header or pair line is quoted in the error.  The
+    making a digraph; a bool requires that kind.  Edges are normalised by
+    ``_edge``.  A malformed header or pair line is quoted in the error.  The
     pairs are not yet checked against p: building the graph is left to the
     caller, after the text and its lines are freed.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines:
         raise ValueError(f"empty {'digraph' if directed else 'graph'} file")
     header = lines[0].split()
@@ -474,11 +471,10 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
     for line in lines[1:]:
         try:  # unpacking raises ValueError unless there are two fields
             u, v = line.split()
-            u, v = int(u), int(v)
+            pairs.append((int(u), int(v)))
         except ValueError:
             raise ValueError(f"malformed {what} line: {line!r}") from None
-        pairs.append((v, u) if not directed and v < u else (u, v))
-    found = frozenset(pairs)
+    found = frozenset(pairs if directed else map(_edge, pairs))
     if len(found) != q:
         raise ValueError(f"duplicate {what} in {kind} file")
     return directed, p, found

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NotSem, VerificationFailed
-from .graphs import AdjacencyMatrix, Graph
+from .graphs import AdjacencyMatrix, Graph, _edge
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import CertifiedLabeledGraph
@@ -80,7 +80,7 @@ class FullLabeling:
 
     def __post_init__(self):
         vl = tuple(self.vertex_labels)
-        el = [((u, v) if u <= v else (v, u), lab) for (u, v), lab in self.edge_labels]
+        el = [(_edge((u, v)), lab) for (u, v), lab in self.edge_labels]
         for kind, labels in (("vertex", vl), ("edge", [lab for _, lab in el])):
             if not set(map(type, labels)) <= {int}:
                 bad = next(x for x in labels if type(x) is not int)

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .errors import BadAssignment, BadParam, NotSem
 from .families import (
+    FAMILIES,
     CertifiedLabeledGraph,
     construct_family,
     cycle_graph,
@@ -26,6 +27,7 @@ from .families import (
 from .graphs import (
     Arc,
     Digraph,
+    _content_lines,
     check_build_bound,
     corona,
     format_digraph,
@@ -188,16 +190,17 @@ def corona_union_via_product(family: str, **params):
     drawn from the certified constructor of ``family``, a ``FAMILIES`` name
     whose other parameters (``spec`` for a deer) are in ``params``.  For odd
     k the cycle is SEM and the block labeling is attached (verified); for
-    even k the graph is returned with no labeling.  Returns
+    even k the graph is returned with no labeling.  A primitive family is
+    refused by name before anything is built.  Returns
     ``(graph, labeling_or_None)``.
     """
     if "k" not in params:
         raise BadParam("corona union build needs the cycle length k")
+    if family in FAMILIES and FAMILIES[family][2]:
+        raise BadParam(f"family {family!r} builds a bare graph with no certified labeling")
     k = params["k"]
     host = indegree_one_orientation(cycle_graph(k))
     cert = construct_family(family, params, params.get("spec"))
-    if not isinstance(cert, CertifiedLabeledGraph):
-        raise BadParam(f"family {family!r} builds a bare graph with no certified labeling")
     member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
     fam = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     if k % 2 == 1:
@@ -212,7 +215,8 @@ def corona_union_via_product(family: str, **params):
 # plus family.json: {"n": int, "k": int, "members": [filename, ...]}; a member
 # is a plain file name in that directory, never a path out of it.
 # Assignment files pair host arcs with 0-based member indices, one
-# "a b member_index" line per arc.
+# "a b member_index" line per arc; comments and blank lines are read as in an
+# edge list.
 
 
 def save_family(family: LabeledFamily, directory: str | Path) -> Path:
@@ -256,16 +260,13 @@ def load_family(directory: str | Path) -> LabeledFamily:
 
 def parse_assignment(text: str) -> dict:
     assignment = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         try:  # three fields, each an int: unpacking raises ValueError too
             a, b, idx = map(int, line.split())
         except ValueError:
-            raise ValueError(f"malformed assignment line: {raw!r}") from None
+            raise ValueError(f"malformed assignment line: {line!r}") from None
         if (a, b) in assignment:
-            raise ValueError(f"duplicate assignment for arc ({a},{b}): {raw!r}")
+            raise ValueError(f"duplicate assignment for arc ({a},{b}): {line!r}")
         assignment[(a, b)] = idx
     return assignment
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semforge import graphs
+from semforge import families, graphs
 from semforge.cli import _Command, export_dot, main
 from semforge.families import (
     build_two_lk11_lk1n,
@@ -170,6 +170,20 @@ class TestConstruct:
     def test_primitive_json_is_usage_error(self, runner):
         result = runner.invoke(main, ["construct", "--family", "cycle", "--params", "k=3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name, params", [
+        ("l", ""), ("lk1n", "n=999999"), ("cycle", "k=3"), ("caterpillar", ""),
+    ])
+    def test_primitive_json_refused_before_building(self, runner, monkeypatch, name, params):
+        arg_names, _, primitive = families.FAMILIES[name]
+
+        def build(*args):
+            raise AssertionError(f"{name} was built")
+
+        monkeypatch.setitem(families.FAMILIES, name, (arg_names, build, primitive))
+        result = runner.invoke(main, ["construct", "--family", name, "--params", params])
+        assert result.exit_code == 2
+        assert f"{name} is a primitive with no labeling" in result.output
 
     def test_unknown_family(self, runner):
         result = runner.invoke(main, ["construct", "--family", "nope"])
@@ -749,10 +763,16 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("args, files, code, last", [
         _row("construct-unknown-family", ["construct", "--family", "nope"], {},
              2, "Error: unknown family 'nope'"),
-        _row("construct-missing-params", ["construct", "--family", "lk1n"], {},
+        # a primitive in the default --format json is refused before its
+        # parameters are checked, so these two ask for an edge list
+        _row("construct-missing-params",
+             ["construct", "--family", "lk1n", "--format", "edgelist"], {},
              2, "Error: lk1n needs parameters n"),
-        _row("construct-bad-param", ["construct", "--family", "lk1n", "--params", "n=-1"], {},
+        _row("construct-bad-param",
+             ["construct", "--family", "lk1n", "--params", "n=-1", "--format", "edgelist"], {},
              2, "Error: star_with_loop needs n >= 0, got -1"),
+        _row("construct-primitive-json", ["construct", "--family", "lk1n", "--params", "n=-1"],
+             {}, 2, "Error: lk1n is a primitive with no labeling; use --format edgelist or dot"),
         _row("construct-bad-spec", ["construct", "--family", "deer", "--spec", "1,x"], {},
              2, "Error: --spec must be comma-separated integers, got '1,x'"),
         _row("construct-repeated-param",
@@ -852,6 +872,20 @@ class TestExitCodeContract:
              ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt"],
              {"star.txt": _STAR, "a.txt": "1 x 0\n"},
              2, "Error: bad assignment file a.txt: malformed assignment line: '1 x 0'"),
+        # quoted without its comment, as an edge line is
+        _row("product-commented-assignment-line",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt"],
+             {"star.txt": _STAR, "a.txt": "# arcs of the star\n\n  1 x 0   # note\n"},
+             2, "Error: bad assignment file a.txt: malformed assignment line: '1 x 0'"),
+        # with an assignment file, a given --member is refused even in range
+        _row("product-member-and-assignment",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt", "--member", "0"],
+             {"star.txt": _STAR, "a.txt": "1 1 0\n1 2 0\n1 3 0\n"},
+             2, "Error: give --member or --assignment, not both"),
+        _row("product-member-past-family-and-assignment",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--assignment", "a.txt", "--member", "5"],
+             {"star.txt": _STAR, "a.txt": "1 1 0\n1 2 0\n1 3 0\n"},
+             2, "Error: give --member or --assignment, not both"),
         _row("product-snk-bound", ["product", *_STAR_ARGS, "--snk", "6,2"], {"star.txt": _STAR},
              3, "family enumeration bound is n <= 5"),
         _row("product-snk-one-integer", ["product", *_STAR_ARGS, "--snk", "2"],

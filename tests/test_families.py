@@ -8,6 +8,7 @@ from semforge import families, graphs
 from semforge.errors import BadParam, ResourceLimit
 from semforge.families import (
     FAMILIES,
+    CertifiedLabeledGraph,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
@@ -357,14 +358,16 @@ class TestFamiliesTable:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_builds_with_minimal_params(self, name):
         # the parameters a family does not take are passed too, and ignored
-        arg_names, build = FAMILIES[name]
+        arg_names, build, primitive = FAMILIES[name]
         result = construct_family(name, {**MINIMAL_ARGS, "x": 7}, MINIMAL_ARGS["spec"])
         assert result == build(*(MINIMAL_ARGS[a] for a in arg_names))
+        # the flag a request for a labeling is refused by, before building
+        assert isinstance(result, CertifiedLabeledGraph) is not primitive
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_each_missing_param_is_bad_param(self, name):
         # a "spec" key in params never stands in for the spec argument
-        arg_names, _ = FAMILIES[name]
+        arg_names = FAMILIES[name][0]
         for missing in arg_names:
             params = {a: v for a, v in MINIMAL_ARGS.items() if a != missing or a == "spec"}
             spec = None if missing == "spec" else MINIMAL_ARGS["spec"]

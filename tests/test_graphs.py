@@ -14,6 +14,7 @@ from semforge.graphs import (
     Digraph,
     Graph,
     _degrees,
+    _edge,
     _neighbourhoods,
     _twins,
     adjacency_matrix,
@@ -32,6 +33,7 @@ from semforge.graphs import (
     union_offsets,
 )
 from semforge.families import caterpillar_graph, cycle_graph, loop_graph, star_with_loop
+from semforge.labelings import VertexLabeling
 
 from conftest import (
     all_possible_edges,
@@ -315,18 +317,14 @@ class TestAdjacencyMatrix:
         assert adjacency_matrix(Digraph(1, [(1, 1)])).rows == ((1,),)
 
     def test_relabel_permutes_indices(self):
-        m = adjacency_matrix(Digraph(2, [(1, 2)]), [2, 1])
+        m = adjacency_matrix(Digraph(2, [(1, 2)]), VertexLabeling((2, 1)))
         assert m.rows == ((0, 0), (1, 0))
 
     def test_oriented_star_center_renamed(self):
         # arcs (1,1),(1,2) with center renamed 2, leaf renamed 1
-        m = adjacency_matrix(Digraph(2, [(1, 1), (1, 2)]), [2, 1])
+        m = adjacency_matrix(Digraph(2, [(1, 1), (1, 2)]), VertexLabeling((2, 1)))
         assert m.rows[1] == (1, 1)
         assert m.rows[0] == (0, 0)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            adjacency_matrix(Digraph(2, [(1, 2)]), [1, 1])
 
     def test_order_bound_before_allocating(self):
         # p * p cells: the header alone must not decide the allocation
@@ -343,9 +341,9 @@ class TestAdjacencyMatrix:
         # a short labeling stays malformed input above the bound
         monkeypatch.setattr(graphs, "MATRIX_ORDER_BOUND", 2)
         with pytest.raises(ValueError, match="labeling has 2 labels"):
-            adjacency_matrix(Digraph(3, [(1, 2)]), [1, 2])
+            adjacency_matrix(Digraph(3, [(1, 2)]), VertexLabeling((1, 2)))
         with pytest.raises(ResourceLimit):
-            adjacency_matrix(Digraph(3, [(1, 2)]), [3, 1, 2])
+            adjacency_matrix(Digraph(3, [(1, 2)]), VertexLabeling((3, 1, 2)))
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -494,23 +492,30 @@ class TestUnionAndCorona:
         assert g.order == g.size
 
 
+def test_edge_orders_a_pair():
+    pair = (1, 2)
+    assert _edge(pair) is pair
+    assert _edge((2, 1)) == (1, 2)
+    assert _edge((3, 3)) == (3, 3)
+
+
 class TestRelabelDigraph:
     def test_names_become_labels(self):
         d = Digraph(2, [(1, 1), (1, 2)])
-        r = relabel_digraph(d, [2, 1])
+        r = relabel_digraph(d, VertexLabeling((2, 1)))
         assert r.arcs == frozenset({(2, 2), (2, 1)})
 
     @pytest.mark.parametrize("names", [[1, 2], [1, 2, 3, 4]])
     def test_rejects_wrong_length(self, names):
         message = f"^labeling has {len(names)} labels but the digraph has order 3$"
         with pytest.raises(ValueError, match=message):
-            relabel_digraph(Digraph(3, [(1, 2)]), names)
+            relabel_digraph(Digraph(3, [(1, 2)]), VertexLabeling(names))
 
     @pytest.mark.parametrize("relabel", [relabel_digraph, adjacency_matrix])
-    @pytest.mark.parametrize("names", [[2.0, 1.0], [True, 2]])
-    def test_rejects_non_int_names(self, relabel, names):
-        with pytest.raises(ValueError, match="bijection"):
-            relabel(Digraph(2, [(1, 2)]), names)
+    def test_takes_only_a_vertex_labeling(self, relabel):
+        # a plain sequence is not checked to be a bijection here: it is refused
+        with pytest.raises(AttributeError, match="'list' object has no attribute 'labels'"):
+            relabel(Digraph(2, [(1, 2)]), [2, 1])
 
 
 class TestTextFormat:

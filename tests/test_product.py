@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semforge import graphs
+from semforge import families, graphs
 from semforge.errors import BadAssignment, BadParam, NotSem, ResourceLimit
 from semforge.families import (
     build_deer,
@@ -24,6 +24,7 @@ from semforge.graphs import (
     corona,
     indegree_one_orientation,
     isomorphic,
+    parse_graph,
     relabel_digraph,
     underlying,
 )
@@ -332,10 +333,20 @@ class TestCoronaUnionBuilds:
         # primitive families build a bare graph, with no labeling to lift
         ("cycle", {"k": 3}, r"^family 'cycle' builds a bare graph"),
         ("lk1n", {"k": 3, "n": 1}, r"^family 'lk1n' builds a bare graph"),
+        # refused before the host cycle is built
+        ("lk1n", {"k": 2, "n": 1}, r"^family 'lk1n' builds a bare graph"),
     ])
     def test_bad_params(self, family, params, message):
         with pytest.raises(BadParam, match=message):
             corona_union_via_product(family, **params)
+
+    def test_primitive_refused_before_building(self, monkeypatch):
+        def build(n):
+            raise AssertionError("lk1n was built")
+
+        monkeypatch.setitem(families.FAMILIES, "lk1n", (("n",), build, True))
+        with pytest.raises(BadParam, match=r"^family 'lk1n' builds a bare graph"):
+            corona_union_via_product("lk1n", k=3, n=999999)
 
 
 class TestFamilyIO:
@@ -362,6 +373,20 @@ class TestFamilyIO:
     def test_malformed_line_is_quoted(self, line):
         with pytest.raises(ValueError, match=re.escape(f"malformed assignment line: {line!r}")):
             parse_assignment(f"1 1 0\n{line}\n")
+
+    def test_comments_and_blanks(self):
+        text = "# host arcs\n\n1 2 0  # first\n   \n2 1 1\n"
+        assert parse_assignment(text) == {(1, 2): 0, (2, 1): 1}
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_graph, "2 1\n  1 x   # note\n", "malformed edge line: '1 x'"),
+        (parse_assignment, "  1 x 0   # note\n", "malformed assignment line: '1 x 0'"),
+        (parse_assignment, "1 2 0\n  1 2 1  # again\n",
+         "duplicate assignment for arc (1,2): '1 2 1'"),
+    ])
+    def test_line_is_quoted_without_its_comment(self, parse, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(text)
 
     @given(st.text(alphabet="012 -#x\n", max_size=30))
     def test_assignment_parses_or_rejects(self, text):
