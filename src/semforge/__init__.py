@@ -45,7 +45,6 @@ from .graphs import (
     parse_graph_or_digraph,
     relabel_digraph,
     underlying,
-    union_offsets,
 )
 from .labelings import (
     CounterdiagonalProfile,
@@ -57,7 +56,6 @@ from .labelings import (
     complete_to_edge_magic,
     counterdiagonal_profile,
     identity_labeling,
-    induced_sums,
     is_sem,
     labeling_from_json,
     labeling_json,
@@ -71,7 +69,6 @@ from .product import (
     corona_union_via_product,
     corona_iso_check,
     kronecker,
-    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,

@@ -38,8 +38,8 @@ from .labelings import (
     rotate_pi,
 )
 from .product import (
+    canonical_product_labeling,
     constant_assignment,
-    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,
@@ -250,7 +250,8 @@ def search_cmd(graph_path, mode, node_budget, timeout, out):
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--cross-check/--no-cross-check", default=False,
-              help="Re-run unpruned enumeration at order <= 8 as a soundness check.")
+              help="Re-run unpruned enumeration as a soundness check; order <= 8 only, "
+                   "a larger graph exits 3.")
 @_budget_options
 @click.option("--out", default=None)
 def certify(graph_path, cross_check, node_budget, timeout, out):
@@ -305,11 +306,15 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
             )
         assignment = constant_assignment(host, member)
     if emit_what == "digraph":
+        if host_labeling_path is not None:
+            raise click.UsageError("--host-labeling needs --emit labeling")
         _emit(format_digraph(otimes_h(host, assignment, family)), out)
         return
     if host_labeling_path is None:
         raise click.UsageError("--emit labeling needs --host-labeling")
-    lifted = lift_to_product(host, _load_labeling(host_labeling_path), family, assignment)
+    lifted = canonical_product_labeling(
+        host, _load_labeling(host_labeling_path), family, assignment
+    )
     _emit(json.dumps(certificate_json(lifted)) + "\n", out)
 
 
@@ -371,6 +376,9 @@ def explore(params, node_budget, timeout, out):
     values = _params_dict(params)
     if "s" not in values or "n" not in values:
         raise click.UsageError("explore needs --params s=..,n=..")
+    if set(values) != {"s", "n"}:
+        extra = ", ".join(sorted(set(values) - {"s", "n"}))
+        raise click.UsageError(f"explore takes only s and n, not {extra}")
     budget = ResourceBudget(node_budget, timeout)
     _report(search_mod.explore_even_copies(values["s"], values["n"], budget), out)
 

@@ -266,15 +266,24 @@ def construct_family(
 ):
     """CLI dispatch: a certified family instance or a bare primitive graph.
 
-    ``spec`` alone supplies the spine leaf counts; a ``spec`` key in
-    ``params`` is ignored, as is every parameter the family does not take.
+    ``params`` holds the family's own parameters and ``spec`` alone supplies
+    the spine leaf counts.  Missing parameters are reported first; then a
+    parameter the family does not take, a ``spec`` key in ``params`` or a
+    ``spec`` for a family without one is a ``BadParam`` that names them.
     """
     if name not in FAMILIES:
         raise BadParam(f"unknown family {name!r}")
     arg_names, build, _ = FAMILIES[name]
-    args = {**(params or {}), "spec": spec}
+    params = params or {}
+    args = {**params, "spec": spec}
     if any(args.get(a) is None for a in arg_names):
         if "spec" in arg_names:
             raise BadParam(f"{name} needs --spec with the spine leaf counts")
         raise BadParam(f"{name} needs parameters {', '.join(arg_names)}")
+    unknown = [key for key in params if key == "spec" or key not in arg_names]
+    if spec is not None and "spec" not in arg_names:
+        unknown.append("--spec")
+    if unknown:
+        takes = ", ".join("--spec" if a == "spec" else a for a in arg_names) or "nothing"
+        raise BadParam(f"{name} does not take {', '.join(unknown)}; it takes {takes}")
     return build(*(args[a] for a in arg_names))

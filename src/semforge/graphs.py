@@ -52,10 +52,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, sorted by minimum vertex."""
-        return [sorted(comp) for comp in _components(_neighbourhoods(self)[0])]
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -393,25 +389,16 @@ def canonical_form(g: Graph) -> Graph:
     return Graph(g.order, frozenset(best))
 
 
-def union_offsets(graphs: Sequence[Graph]) -> tuple:
-    """Vertex-index offset of each component in the disjoint union."""
-    offs = []
-    total = 0
-    for g in graphs:
-        offs.append(total)
-        total += g.order
-    return tuple(offs)
-
-
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union with components numbered consecutively in input order."""
     if not graphs:
         raise ValueError("disjoint_union needs at least one component")
-    offs = union_offsets(graphs)
     edges = set()
-    for g, off in zip(graphs, offs):
+    off = 0
+    for g in graphs:
         edges.update((u + off, v + off) for u, v in g.edges)
-    return Graph(sum(g.order for g in graphs), frozenset(edges))
+        off += g.order
+    return Graph(off, frozenset(edges))
 
 
 def corona(g: Graph, n: int) -> Graph:

@@ -9,7 +9,6 @@ where s is the smallest induced sum.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -89,26 +88,12 @@ class FullLabeling:
         object.__setattr__(self, "vertex_labels", vl)
         object.__setattr__(self, "edge_labels", el)
 
-    @property
-    def edge_label_map(self) -> dict:
-        return dict(self.edge_labels)
-
 
 def _check_order(g: Graph, labeling: VertexLabeling) -> None:
     if labeling.order != g.order:
         raise ValueError(
             f"labeling has {labeling.order} labels but the graph has order {g.order}"
         )
-
-
-def induced_sums(g: Graph, labeling: VertexLabeling) -> list:
-    """Distinct induced sums with multiplicities, sorted ascending.
-
-    A loop uv with u=v contributes the single sum 2g(u).
-    """
-    _check_order(g, labeling)
-    counts = Counter(labeling.of(u) + labeling.of(v) for u, v in g.edges)
-    return sorted(counts.items())
 
 
 def is_sem(g: Graph, labeling: VertexLabeling):
@@ -210,9 +195,6 @@ class CounterdiagonalProfile:
             return False
         sup = self.support
         return not sup or sup[-1] - sup[0] + 1 == len(sup)
-
-    def count_for(self, index_sum: int) -> int:
-        return self.counts[index_sum - 2]
 
 
 def counterdiagonal_profile(matrix: AdjacencyMatrix) -> CounterdiagonalProfile:

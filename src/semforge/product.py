@@ -129,30 +129,17 @@ def canonical_product_labeling(
     host_labeling: VertexLabeling,
     family: LabeledFamily,
     assignment: Mapping[Arc, int] | None = None,
-) -> VertexLabeling:
+) -> CertifiedLabeledGraph:
     """Lift a SEM host labeling to the product: (a, i) -> n(f(a)-1)+i.
 
-    The output is verified against the product built with ``assignment``
-    (constant to member 0 when omitted); the induced sum multiset is the same
-    for every assignment into the family, so one verified product certifies
-    them all.  Raises ``NotSem`` if the host labeling is not SEM on the host's
-    arcs (no labeling is when two arcs are antiparallel, as their sums are
-    equal) and ``VerificationFailed`` if the verifier rejects.
-    """
-    return lift_to_product(host, host_labeling, family, assignment).labeling
-
-
-def lift_to_product(
-    host: Digraph,
-    host_labeling: VertexLabeling,
-    family: LabeledFamily,
-    assignment: Mapping[Arc, int] | None = None,
-) -> CertifiedLabeledGraph:
-    """The underlying graph of the product with its verified block labeling.
-
-    Builds, normalises and verifies the product once; see
-    ``canonical_product_labeling``.  The certificate's window is ``None`` when
-    the product has no edges.
+    Returns the underlying graph of the product built with ``assignment``
+    (constant to member 0 when omitted) with its block labeling, verified
+    once; the induced sum multiset is the same for every assignment into the
+    family, so one verified product certifies them all.  The certificate's
+    window is ``None`` when the product has no edges.  Raises ``NotSem`` if
+    the host labeling is not SEM on the host's arcs (no labeling is when two
+    arcs are antiparallel, as their sums are equal), ``ValueError`` for an
+    empty family and ``VerificationFailed`` if the verifier rejects.
     """
     base = underlying(host)
     ok, _ = is_sem(base, host_labeling)
@@ -198,13 +185,13 @@ def corona_union_via_product(family: str, **params):
         raise BadParam("corona union build needs the cycle length k")
     if family in FAMILIES and FAMILIES[family][2]:
         raise BadParam(f"family {family!r} builds a bare graph with no certified labeling")
-    k = params["k"]
+    k, spec = params.pop("k"), params.pop("spec", None)
     host = indegree_one_orientation(cycle_graph(k))
-    cert = construct_family(family, params, params.get("spec"))
+    cert = construct_family(family, params, spec)
     member = relabel_digraph(indegree_one_orientation(cert.graph), cert.labeling)
     fam = LabeledFamily(cert.graph.order, cert.window.s_min, (member,))
     if k % 2 == 1:
-        lifted = lift_to_product(host, odd_cycle_labeling(k), fam)
+        lifted = canonical_product_labeling(host, odd_cycle_labeling(k), fam)
         return lifted.graph, lifted.labeling
     return underlying(otimes_h(host, constant_assignment(host), fam)), None
 

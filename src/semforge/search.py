@@ -46,6 +46,7 @@ ABORTED = "aborted"
 DEFAULT_ORDER_BOUND = 24
 DEFAULT_ORDER_BOUND_ALL = 12
 DEFAULT_CERTIFY_BOUND = 100  # the largest order CI exhausts through certify_not_sem
+CROSS_CHECK_ORDER_BOUND = 8  # the unpruned enumerator scans up to p! bijections
 SNK_ORDER_BOUND = 5
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -465,17 +466,21 @@ def certify_not_sem(
     (backed on the loop-star unions only) in place of the first-mode bound,
     so a SEM graph of order 25..100 gets its witness.
 
-    With ``cross_check`` and order at most 8, the result is compared against
-    whether the unpruned enumerator yields any SEM bijection, which scans
-    every permutation when it yields none; disagreement means the pruning is
-    unsound and raises ``VerificationFailed`` instead of returning.
+    With ``cross_check``, the result is compared against whether the unpruned
+    enumerator yields any SEM bijection, which scans every permutation when
+    it yields none; disagreement means the pruning is unsound and raises
+    ``VerificationFailed`` instead of returning.  Above order
+    ``CROSS_CHECK_ORDER_BOUND`` the cross-check raises ``ResourceLimit``
+    before the search starts.
     """
     if g.order > DEFAULT_CERTIFY_BOUND:
         raise ResourceLimit(
             f"order {g.order} exceeds the certification bound {DEFAULT_CERTIFY_BOUND}"
         )
+    if cross_check and g.order > CROSS_CHECK_ORDER_BOUND:
+        raise ResourceLimit(f"cross-check bound is order <= {CROSS_CHECK_ORDER_BOUND}")
     report = _search(g, "first", budget)
-    if cross_check and g.order <= 8 and report.outcome != ABORTED:
+    if cross_check and report.outcome != ABORTED:
         if (next(sem_bijections(g), None) is not None) != (report.outcome == WITNESS):
             raise VerificationFailed(
                 "pruned search disagrees with exhaustive enumeration on "

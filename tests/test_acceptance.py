@@ -192,7 +192,7 @@ def test_criterion_5_product_closure():
                 failures.append(f"S_{n}^{k} unexpectedly empty")
                 continue
             for host_name, host, host_lab in hosts:
-                labeling = canonical_product_labeling(host, host_lab, family)
+                labeling = canonical_product_labeling(host, host_lab, family).labeling
                 product = underlying(
                     otimes_h(host, constant_assignment(host), family)
                 )

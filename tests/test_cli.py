@@ -272,7 +272,7 @@ class TestDigraphFileAsGraph:
     def test_verify_builds_one_graph(self, runner, tmp_path, monkeypatch):
         host = indegree_one_orientation(cycle_graph(3))
         family = LabeledFamily(2, 2, tuple(enumerate_snk(2, 2)))
-        lifted = canonical_product_labeling(host, odd_cycle_labeling(3), family)
+        lifted = canonical_product_labeling(host, odd_cycle_labeling(3), family).labeling
         gpath = tmp_path / "prod.txt"
         lpath = tmp_path / "l.json"
         gpath.write_text(format_digraph(otimes_h(host, constant_assignment(host), family)))
@@ -386,7 +386,7 @@ class TestProductCommand:
         fam = enumerate_snk(3, 3)
         host_lab = odd_cycle_labeling(5)
         prod = underlying(otimes_h(host, constant_assignment(host, 1), fam))
-        expected = labeling_json(prod, canonical_product_labeling(host, host_lab, fam))
+        expected = labeling_json(prod, canonical_product_labeling(host, host_lab, fam).labeling)
         gpath = tmp_path / "c5.txt"
         gpath.write_text(format_graph(cycle_graph(5)))
         lpath = tmp_path / "c5lab.json"
@@ -403,6 +403,22 @@ class TestProductCommand:
         assert len(products) == 1
         assert len([args for args in normalised if args[0].order == 15]) == 1
         assert len([args for args in verified if args[0].order == 15]) == 1
+
+    def test_labeling_is_one_lift(self, runner, tmp_path, monkeypatch):
+        gpath = tmp_path / "c5.txt"
+        gpath.write_text(format_graph(cycle_graph(5)))
+        lpath = tmp_path / "c5lab.json"
+        lpath.write_text(json.dumps({"p": 5, "labels": list(odd_cycle_labeling(5).labels)}))
+        lifts = count_calls(monkeypatch, canonical_product_labeling)
+        result = runner.invoke(main, [
+            "product", "--graph", str(gpath), "--snk", "3,3", "--member", "1",
+            "--host-labeling", str(lpath), "--emit", "labeling",
+        ])
+        assert (result.exit_code, len(lifts)) == (0, 1)
+        assert result.output == (
+            '{"p": 15, "labels": [1, 2, 3, 10, 11, 12, 4, 5, 6, 13, 14, 15, 7, 8, 9], '
+            '"sem": true, "window": [9, 23], "magic_sum": 39}\n'
+        )
 
     def test_assignment_file(self, runner, tmp_path):
         host = indegree_one_orientation(cycle_graph(3))
@@ -780,6 +796,14 @@ class TestExitCodeContract:
              {}, 2, "Error: --params names 'n' more than once"),
         _row("construct-non-int-param", ["construct", "--family", "lk1n", "--params", "n=x"], {},
              2, "Error: --params value for 'n' must be an integer"),
+        _row("construct-param-not-taken",
+             ["construct", "--family", "lk1n", "--params", "n=2,m=7", "--spec", "3,4",
+              "--format", "edgelist"], {},
+             2, "Error: lk1n does not take m, --spec; it takes n"),
+        # the spine leaf counts go in --spec, never in --params
+        _row("construct-spec-in-params",
+             ["construct", "--family", "deer", "--params", "spec=1", "--spec", "1"], {},
+             2, "Error: deer does not take spec; it takes --spec"),
         _row("verify-empty-graph", ["verify", "--graph", "g.txt", "--labeling", "l.json"],
              {"g.txt": "", "l.json": _TWO_LABELS},
              2, "Error: cannot read graph file g.txt: empty graph file"),
@@ -833,8 +857,13 @@ class TestExitCodeContract:
         _row("certify-order-bound", ["certify", "--graph", "g.txt"],
              {"g.txt": format_graph(star_with_loop(100))},
              3, "order 101 exceeds the certification bound 100"),
+        # star_with_loop(8) is SEM: without the bound it exits 0, unchecked
+        _row("certify-cross-check-bound", ["certify", "--graph", "g.txt", "--cross-check"],
+             {"g.txt": format_graph(star_with_loop(8))}, 3, "cross-check bound is order <= 8"),
         _row("explore-needs-params", ["explore", "--params", "s=1"], {},
              2, "Error: explore needs --params s=..,n=.."),
+        _row("explore-param-not-taken", ["explore", "--params", "s=1,n=1,t=9"], {},
+             2, "Error: explore takes only s and n, not t"),
         _row("explore-bad-copies", ["explore", "--params", "s=0,n=1"], {},
              2, "Error: need s, n >= 1, got s=0, n=1"),
         _row("explore-order-bound", ["explore", "--params", "s=400,n=1000"], {},
@@ -852,6 +881,11 @@ class TestExitCodeContract:
         _row("product-no-host-labeling",
              ["product", *_STAR_ARGS, "--snk", "2,2", "--emit", "labeling"],
              {"star.txt": _STAR}, 2, "Error: --emit labeling needs --host-labeling"),
+        # the digraph never reads the host labeling, so it cannot be given
+        _row("product-host-labeling-with-digraph",
+             ["product", *_STAR_ARGS, "--snk", "2,2", "--host-labeling", "l.json"],
+             {"star.txt": _STAR, "l.json": "not json"},
+             2, "Error: --host-labeling needs --emit labeling"),
         _row("product-host-labeling-not-sem",
              ["product", "--graph", "g.txt", "--snk", "2,2", "--host-labeling", "l.json",
               "--emit", "labeling"],

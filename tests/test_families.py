@@ -348,6 +348,13 @@ class TestConstructFamilyDispatch:
 MINIMAL_ARGS = {"n": 1, "k": 3, "m": 1, "s": 1, "spec": [1]}
 
 
+def _own_args(name):
+    """The ``(params, spec)`` of MINIMAL_ARGS that family ``name`` takes."""
+    arg_names = FAMILIES[name][0]
+    params = {a: MINIMAL_ARGS[a] for a in arg_names if a != "spec"}
+    return params, MINIMAL_ARGS["spec"] if "spec" in arg_names else None
+
+
 class TestFamiliesTable:
     def test_names(self):
         assert set(FAMILIES) == {
@@ -357,12 +364,23 @@ class TestFamiliesTable:
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_builds_with_minimal_params(self, name):
-        # the parameters a family does not take are passed too, and ignored
         arg_names, build, primitive = FAMILIES[name]
-        result = construct_family(name, {**MINIMAL_ARGS, "x": 7}, MINIMAL_ARGS["spec"])
+        result = construct_family(name, *_own_args(name))
         assert result == build(*(MINIMAL_ARGS[a] for a in arg_names))
         # the flag a request for a labeling is refused by, before building
         assert isinstance(result, CertifiedLabeledGraph) is not primitive
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_refuses_what_it_does_not_take(self, name):
+        params, spec = _own_args(name)
+        with pytest.raises(BadParam, match=rf"^{name} does not take x; it takes "):
+            construct_family(name, {**params, "x": 7}, spec)
+        # a "spec" key in params is refused even by a family that takes a spec
+        with pytest.raises(BadParam, match=rf"^{name} does not take spec; it takes "):
+            construct_family(name, {**params, "spec": [1]}, spec)
+        if spec is None:
+            with pytest.raises(BadParam, match=rf"^{name} does not take --spec; it takes "):
+                construct_family(name, params, [1])
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_each_missing_param_is_bad_param(self, name):

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -37,7 +38,6 @@ from semforge.product import (
     corona_iso_check,
     format_assignment,
     kronecker,
-    lift_to_product,
     load_family,
     otimes_h,
     parse_assignment,
@@ -220,7 +220,7 @@ class TestKronecker:
 class TestCanonicalProductLabeling:
     def test_cycle_host_with_two_member_family(self):
         host = oriented_cycle(3)
-        lab = canonical_product_labeling(host, identity_labeling(3), S22)
+        lab = canonical_product_labeling(host, identity_labeling(3), S22).labeling
         # block formula: (a, i) -> 2(f(a)-1)+i
         assert lab.labels == (1, 2, 3, 4, 5, 6)
 
@@ -228,7 +228,7 @@ class TestCanonicalProductLabeling:
         host = oriented_cycle(5)
         fam = LabeledFamily(1, 2, (LOOP_D,))
         f_host = odd_cycle_labeling(5)
-        lab = canonical_product_labeling(host, f_host, fam)
+        lab = canonical_product_labeling(host, f_host, fam).labeling
         assert lab == f_host
 
     def test_window_formula(self):
@@ -237,10 +237,11 @@ class TestCanonicalProductLabeling:
         _, host_window = is_sem(underlying(host), f_host)
         fam = S22
         assignment = constant_assignment(host)
-        lab = canonical_product_labeling(host, f_host, fam, assignment)
+        cert = canonical_product_labeling(host, f_host, fam, assignment)
         prod = underlying(otimes_h(host, assignment, fam))
-        ok, window = is_sem(prod, lab)
-        assert ok
+        assert cert.graph == prod
+        ok, window = is_sem(prod, cert.labeling)
+        assert ok and window == cert.window
         assert window.s_min == fam.n * (host_window.s_min - 2) + fam.k
 
     def test_mixed_assignments_verify(self, rng):
@@ -253,7 +254,7 @@ class TestCanonicalProductLabeling:
                     assignment = {arc: rng.randrange(len(fam)) for arc in host.arcs}
                     lab = canonical_product_labeling(
                         host, identity_labeling(3), fam, assignment
-                    )
+                    ).labeling
                     prod = underlying(otimes_h(host, assignment, fam))
                     assert is_sem(prod, lab)[0]
 
@@ -273,7 +274,9 @@ class TestCanonicalProductLabeling:
 
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError, match="^family has no members$"):
-            lift_to_product(oriented_cycle(3), identity_labeling(3), LabeledFamily(2, 2, ()))
+            canonical_product_labeling(
+                oriented_cycle(3), identity_labeling(3), LabeledFamily(2, 2, ())
+            )
 
 
 class TestCoronaIso:
@@ -395,3 +398,10 @@ class TestFamilyIO:
         except ValueError:
             return
         assert parse_assignment(format_assignment(assignment)) == assignment
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md: Library example", "exec"), {})

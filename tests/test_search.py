@@ -349,6 +349,12 @@ class TestCertify:
         report = certify_not_sem(g, cross_check=True)
         assert report.outcome == EXHAUSTED
 
+    def test_cross_check_bound(self):
+        assert certify_not_sem(star_with_loop(7), cross_check=True).outcome == WITNESS
+        # refused before the search, rather than run with no cross-check
+        with pytest.raises(ResourceLimit, match=r"^cross-check bound is order <= 8$"):
+            certify_not_sem(star_with_loop(8), ResourceBudget(max_nodes=0), cross_check=True)
+
     def test_order_bound(self):
         # past the first-mode bound a SEM graph still gets its witness
         assert certify_not_sem(star_with_loop(DEFAULT_CERTIFY_BOUND - 1)).outcome == WITNESS
@@ -488,7 +494,7 @@ class TestEnumerateSnk:
         host = indegree_one_orientation(cycle_graph(3))
         for k in range(2, 5):
             fam = enumerate_snk(3, k)
-            lab = canonical_product_labeling(host, identity_labeling(3), fam)
+            lab = canonical_product_labeling(host, identity_labeling(3), fam).labeling
             prod = underlying(otimes_h(host, constant_assignment(host), fam))
             assert is_sem(prod, lab)[0]
 
