@@ -21,12 +21,14 @@ from .families import FAMILIES, CertifiedLabeledGraph, construct_family
 from .graphs import (
     Digraph,
     Graph,
+    _checked,
     _read_edge_list,
     adjacency_matrix,
     format_digraph,
     format_graph,
     indegree_one_orientation,
     parse_graph_or_digraph,
+    underlying,
 )
 from .labelings import (
     VertexLabeling,
@@ -114,12 +116,7 @@ def _graph(text: str) -> Graph:
     underlying graph."""
     directed, p, pairs = _read_edge_list(text)
     del text  # a 20,000-pair text is freed before its graph is built
-    try:
-        return Graph(p, pairs)
-    except ValueError:
-        if directed:
-            Digraph(p, pairs)  # raises with the digraph file's own message
-        raise
+    return underlying(_checked(Digraph, p, pairs)) if directed else _checked(Graph, p, pairs)
 
 
 def _load_graph(path: str) -> Graph:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadParam
-from .graphs import Graph, check_build_bound, disjoint_union
+from .graphs import Graph, _checked, check_build_bound, disjoint_union
 from .labelings import SumWindow, VertexLabeling, verified_window
 
 
@@ -48,7 +48,7 @@ def _certify(graph: Graph, labels: Sequence[int], provenance: str) -> CertifiedL
 
 def loop_graph() -> Graph:
     """One vertex with a loop."""
-    return Graph(1, frozenset({(1, 1)}))
+    return _checked(Graph, 1, frozenset({(1, 1)}))
 
 
 def star_with_loop(n: int) -> Graph:
@@ -58,7 +58,7 @@ def star_with_loop(n: int) -> Graph:
     check_build_bound(n + 1)
     edges = {(1, 1)}
     edges.update((1, j) for j in range(2, n + 2))
-    return Graph(n + 1, frozenset(edges))
+    return _checked(Graph, n + 1, frozenset(edges))
 
 
 def cycle_graph(k: int) -> Graph:
@@ -67,7 +67,7 @@ def cycle_graph(k: int) -> Graph:
     check_build_bound(k)
     edges = {(i, i + 1) for i in range(1, k)}
     edges.add((1, k))
-    return Graph(k, frozenset(edges))
+    return _checked(Graph, k, frozenset(edges))
 
 
 def caterpillar_graph(counts: Sequence[int]) -> Graph:
@@ -88,7 +88,7 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
     edges = {(i, i + 1) for i in range(1, t)}
     for i, leaves in enumerate(_leaf_ids(counts), start=1):
         edges.update((i, leaf) for leaf in leaves)
-    return Graph(t + sum(counts), frozenset(edges))
+    return _checked(Graph, t + sum(counts), frozenset(edges))
 
 
 def _leaf_ids(counts: Sequence[int]) -> list:
@@ -228,7 +228,7 @@ def build_deer(spec: Sequence[int]) -> CertifiedLabeledGraph:
         raise BadParam("leaf counts must be palindromic")
     cat = caterpillar_graph(counts)
     center = (len(counts) + 1) // 2
-    graph = Graph(cat.order, cat.edges | {(center, center)})
+    graph = _checked(Graph, cat.order, cat.edges | {(center, center)})
     tag = "deer(" + ",".join(str(c) for c in counts) + ")"
     return _certify(graph, _caterpillar_sweep(counts), tag)
 

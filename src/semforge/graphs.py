@@ -4,11 +4,18 @@ Vertices are named 1..p throughout, so a vertex, its position in a labeling
 vector, and its row index in an adjacency matrix can be used interchangeably.
 Edge sets make multi-edges unrepresentable; loops are allowed.  All types are
 immutable after construction and every operation is a pure function.
+
+Input from outside the package is checked once: by the reader of the
+edge-list format, or by the ``Graph`` and ``Digraph`` constructors.  The
+readers, the operations here and the package's builders form their pairs
+from data already checked, so they build through ``_checked`` and skip the
+constructors' second pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -71,6 +78,16 @@ class Digraph:
     @property
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
+
+
+def _checked(cls, order: int, pairs: frozenset):
+    """The ``Graph`` or ``Digraph`` of the given order on ``pairs``, with no
+    check: the caller guarantees a frozenset of pairs of ``int`` vertices in
+    [1, order] and, for a ``Graph``, edges ordered ``u <= v``."""
+    g = object.__new__(cls)
+    object.__setattr__(g, "order", order)
+    object.__setattr__(g, "edges" if cls is Graph else "arcs", pairs)
+    return g
 
 
 def _neighbourhoods(g: Graph) -> tuple[list, list]:
@@ -147,8 +164,10 @@ def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
 
     Every member must be a pair of ``int`` vertices in [1, order]; ``bool`` is
     not a vertex.  Edges are normalised by ``_edge``.  A frozenset of tuples
-    that needs no normalising is kept as it is, so a set built by a parser or
-    an operation is checked in one pass and not copied.
+    that needs no normalising is kept as it is, not copied.  This is the check
+    of pairs given to the public constructors; pairs that the package reads
+    or builds itself are checked by the reader or valid by construction, and
+    skip it through ``_checked``.
     """
     if type(pairs) is not frozenset:
         try:
@@ -171,9 +190,14 @@ def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
     if unsorted and kind == "edge":
         pairs = frozenset(map(_edge, pairs))
     if outside:
-        u, v = min(e for e in pairs if not (1 <= e[0] <= order and 1 <= e[1] <= order))
-        raise ValueError(f"{kind} ({u},{v}) has an endpoint outside [1,{order}]")
+        _raise_outside(pairs, order, kind)
     return pairs
+
+
+def _raise_outside(pairs, order: int, kind: str):
+    """Name the smallest of ``pairs`` with an endpoint outside [1, order]."""
+    u, v = min(e for e in pairs if not (1 <= e[0] <= order and 1 <= e[1] <= order))
+    raise ValueError(f"{kind} ({u},{v}) has an endpoint outside [1,{order}]")
 
 
 @dataclass(frozen=True)
@@ -202,8 +226,15 @@ class AdjacencyMatrix:
 
 
 def underlying(d: Digraph) -> Graph:
-    """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops."""
-    return Graph(d.order, d.arcs)
+    """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops.
+
+    A digraph whose arcs are all ordered ``a <= b`` shares its arc set with
+    the graph.
+    """
+    edges = d.arcs
+    if any(itertools.starmap(operator.gt, edges)):
+        edges = frozenset(map(_edge, edges))
+    return _checked(Graph, d.order, edges)
 
 
 def relabel_digraph(d: Digraph, labeling: "VertexLabeling") -> Digraph:
@@ -215,7 +246,7 @@ def relabel_digraph(d: Digraph, labeling: "VertexLabeling") -> Digraph:
     names = labeling.labels
     if len(names) != d.order:
         raise ValueError(f"labeling has {len(names)} labels but the digraph has order {d.order}")
-    return Digraph(d.order, frozenset((names[a - 1], names[b - 1]) for a, b in d.arcs))
+    return _checked(Digraph, d.order, frozenset((names[a - 1], names[b - 1]) for a, b in d.arcs))
 
 
 def indegree_one_orientation(g: Graph) -> Digraph:
@@ -239,7 +270,8 @@ def indegree_one_orientation(g: Graph) -> Digraph:
         touched.add(next(v for v in itertools.count(1) if v not in touched))
         names = [0, *sorted(touched)]
         rank = {v: i for i, v in enumerate(names)}
-        g = Graph(len(names) - 1, {(rank[u], rank[v]) for u, v in g.edges})
+        # rank is increasing, so each renamed edge stays ordered
+        g = _checked(Graph, len(names) - 1, frozenset((rank[u], rank[v]) for u, v in g.edges))
     n = g.order
     adj, loop = nbhd = _neighbourhoods(g)
     deg = _degrees(nbhd)
@@ -288,7 +320,7 @@ def indegree_one_orientation(g: Graph) -> Digraph:
                 nxt = start
             arcs.append((cur, nxt))
             cur = nxt
-    return Digraph(g.order, frozenset(arcs))
+    return _checked(Digraph, g.order, frozenset(arcs))
 
 
 def adjacency_matrix(d: Digraph, relabel: "VertexLabeling | None" = None) -> AdjacencyMatrix:
@@ -398,7 +430,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     for g in graphs:
         edges.update((u + off, v + off) for u, v in g.edges)
         off += g.order
-    return Graph(off, frozenset(edges))
+    return _checked(Graph, off, frozenset(edges))
 
 
 def corona(g: Graph, n: int) -> Graph:
@@ -414,7 +446,7 @@ def corona(g: Graph, n: int) -> Graph:
     for v in range(1, p + 1):
         for j in range(1, n + 1):
             edges.add((v, p + (v - 1) * n + j))
-    return Graph(p * (n + 1), frozenset(edges))
+    return _checked(Graph, p * (n + 1), frozenset(edges))
 
 
 # --- edge-list text format ----------------------------------------------------
@@ -427,17 +459,19 @@ def _content_lines(text: str) -> list[str]:
     """The lines of a text file that hold something: each with its ``#``
     comment and surrounding whitespace cut, blank ones dropped.  An error
     about a line quotes it in this form."""
-    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    return [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
 
 
 def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int, frozenset]:
-    """``(directed, p, pairs)`` of a graph or digraph file's text.
+    """``(directed, p, pairs)`` of a graph or digraph file's text, checked.
 
     With ``directed=None`` the kind is read off the header, three fields
     making a digraph; a bool requires that kind.  Edges are normalised by
-    ``_edge``.  A malformed header or pair line is quoted in the error.  The
-    pairs are not yet checked against p: building the graph is left to the
-    caller, after the text and its lines are freed.
+    ``_edge``.  A malformed header or pair line is quoted in the error.  Each
+    pair is range-checked as it is read; after the line count, the pair lines
+    and duplicates, the order must be positive and then the smallest pair
+    with an endpoint outside [1, p] is named: for a digraph, the arc as
+    written.  The pairs are then valid for ``_checked``.
     """
     lines = _content_lines(text)
     if not lines:
@@ -455,29 +489,36 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
     if len(lines) - 1 != q:
         raise ValueError(f"expected {q} {what} lines, found {len(lines) - 1}")
     pairs = []
+    inside = True
     for line in lines[1:]:
         try:  # unpacking raises ValueError unless there are two fields
             u, v = line.split()
-            pairs.append((int(u), int(v)))
+            u, v = int(u), int(v)
         except ValueError:
             raise ValueError(f"malformed {what} line: {line!r}") from None
+        if not (0 < u <= p and 0 < v <= p):
+            inside = False
+        pairs.append((u, v))
     found = frozenset(pairs if directed else map(_edge, pairs))
     if len(found) != q:
         raise ValueError(f"duplicate {what} in {kind} file")
+    _check_order(p, kind)
+    if not inside:
+        _raise_outside(found, p, what)
     return directed, p, found
 
 
 def parse_graph(text: str) -> Graph:
-    return Graph(*_read_edge_list(text, False)[1:])
+    return _checked(Graph, *_read_edge_list(text, False)[1:])
 
 
 def parse_digraph(text: str) -> Digraph:
-    return Digraph(*_read_edge_list(text, True)[1:])
+    return _checked(Digraph, *_read_edge_list(text, True)[1:])
 
 
 def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
     directed, p, pairs = _read_edge_list(text)
-    return Digraph(p, pairs) if directed else Graph(p, pairs)
+    return _checked(Digraph if directed else Graph, p, pairs)
 
 
 def format_graph(g: Graph) -> str:

@@ -27,6 +27,8 @@ from .families import (
 from .graphs import (
     Arc,
     Digraph,
+    _check_order,
+    _checked,
     _content_lines,
     check_build_bound,
     corona,
@@ -66,6 +68,9 @@ class LabeledFamily:
 
 
 def _validate_member(member: Digraph, n: int, k: int, idx: int) -> None:
+    # otimes_h builds on a member's arcs unchecked, so they must be a Digraph's
+    if not isinstance(member, Digraph):
+        raise ValueError(f"member {idx} is a {type(member).__name__}, not a Digraph")
     if member.order != n:
         raise ValueError(f"member {idx} has order {member.order}, expected {n}")
     if member.size != n:
@@ -90,7 +95,8 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     Its order and size are checked against ``BUILD_ORDER_BOUND`` first.
     """
     n = family.n
-    check_build_bound(host.order * n)
+    order = host.order * n
+    check_build_bound(order)
     check_build_bound(host.size * n, "size")
     members = family.members
     host_arcs = host.sorted_arcs
@@ -111,7 +117,9 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
             )
         da, db = n * (a - 1), n * (b - 1)
         arcs.update([(da + i, db + j) for i, j in members[idx].arcs])
-    return Digraph(host.order * n, frozenset(arcs))
+    # the arcs are valid only for a positive int n, which the family does not check
+    _check_order(order, "digraph")
+    return _checked(Digraph, order, frozenset(arcs))
 
 
 def kronecker(d1: Digraph, d2: Digraph) -> Digraph:

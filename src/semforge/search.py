@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimit, VerificationFailed
 from .families import star_with_loop
-from .graphs import Digraph, Graph, _degrees, _neighbourhoods, _twins, disjoint_union
+from .graphs import Digraph, Graph, _checked, _degrees, _neighbourhoods, _twins, disjoint_union
 from .labelings import VertexLabeling, verified_window
 from .product import LabeledFamily
 
@@ -497,6 +497,8 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
     Members come out in lexicographic order of those choices.  The family is
     non-empty exactly for 2 <= k <= n+1: every sum lies in [2, 2n].
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > SNK_ORDER_BOUND:
@@ -504,7 +506,7 @@ def enumerate_snk(n: int, k: int) -> LabeledFamily:
     choices = [[(i, s - i) for i in range(max(1, s - n), min(n, s - 1) + 1)]
                for s in range(k, k + n)]
     members = tuple(
-        Digraph(n, frozenset(combo)) for combo in itertools.product(*choices)
+        _checked(Digraph, n, frozenset(combo)) for combo in itertools.product(*choices)
     )
     return LabeledFamily(n, k, members)
 
@@ -774,7 +776,7 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
                 raise ResourceLimit("census wall-clock budget exhausted")
             tail = next(itertools.islice(combos, i - at, None))
             at = i + 1
-            g = Graph(p, frozenset(pool[x] for x in itertools.chain(head, tail)))
+            g = _checked(Graph, p, frozenset(pool[x] for x in itertools.chain(head, tail)))
             witness = mark(g, shape)
             if witness is not None:
                 verified_window(g, VertexLabeling(tuple(witness)), "census witness")

@@ -20,6 +20,9 @@ from semforge.families import (
     star_with_loop,
 )
 from semforge.graphs import (
+    Graph,
+    _checked,
+    _vertex_pairs,
     disjoint_union,
     format_digraph,
     format_graph,
@@ -277,12 +280,16 @@ class TestDigraphFileAsGraph:
         lpath = tmp_path / "l.json"
         gpath.write_text(format_digraph(otimes_h(host, constant_assignment(host), family)))
         lpath.write_text(json.dumps({"labels": list(lifted.labels)}))
-        normalised = count_calls(monkeypatch, underlying)
+        # the reader checks the file's pairs once: one Graph is built from
+        # them, the constructors' check never runs, and is_sem runs once
+        built = count_calls(monkeypatch, _checked)
+        rechecked = count_calls(monkeypatch, _vertex_pairs)
         verified = count_calls(monkeypatch, is_sem)
         result = runner.invoke(main, ["verify", "--graph", str(gpath), "--labeling", str(lpath)])
         assert result.exit_code == 0
         assert json.loads(result.output)["sem"] is True
-        assert (len(normalised), len(verified)) == (0, 1)
+        assert [args[0] for args in built].count(Graph) == 1
+        assert (len(rechecked), len(verified)) == (0, 1)
 
     def test_antiparallel_arcs_are_one_edge(self, runner, tmp_path):
         gpath = tmp_path / "d.txt"

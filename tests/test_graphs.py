@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semforge import graphs
-from semforge.errors import NoSuchOrientation, ResourceLimit
+from semforge import cli, graphs
+from semforge.errors import BadParam, NoSuchOrientation, ResourceLimit
 from semforge.graphs import (
     MATRIX_ORDER_BOUND,
     AdjacencyMatrix,
@@ -32,8 +32,10 @@ from semforge.graphs import (
     relabel_digraph,
     underlying,
 )
-from semforge.families import caterpillar_graph, cycle_graph, loop_graph, star_with_loop
+from semforge.families import FAMILIES, caterpillar_graph, cycle_graph, loop_graph, star_with_loop
 from semforge.labelings import VertexLabeling
+from semforge.product import otimes_h
+from semforge.search import census_equal_order_size, enumerate_snk
 
 from conftest import (
     all_possible_edges,
@@ -576,6 +578,110 @@ class TestTextFormat:
         assert isinstance(g, Digraph) == directed and g.order == p
         assert (g.arcs if directed else g.edges) == pairs
 
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    # a digraph file's smallest bad arc as written, not its smallest edge
+    @example("2 3 d\n1 2\n3 1\n2 5\n")
+    @example("2 2 d\n2 1\n1 2\n")
+    def test_cli_graph_matches_reference(self, text):
+        # the graph every --graph option of the CLI reads
+        try:
+            directed, p, pairs = reference_parse_edge_list(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                cli._graph(text)
+            assert str(info.value) == str(exc)
+            return
+        g = cli._graph(text)
+        assert g == (underlying(Digraph(p, pairs)) if directed else Graph(p, pairs))
+        assert_passes_the_check(g)
+
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             parse_graph("2 2\n1 2\n")
+
+
+def assert_passes_the_check(g):
+    """g's pairs are what ``_checked`` trusts: a frozenset that the checking
+    constructor of g's class accepts unchanged, so every pair is one of
+    ``int`` vertices in [1, order] and every edge is ordered."""
+    pairs = g.edges if type(g) is Graph else g.arcs
+    assert type(pairs) is frozenset
+    assert type(g)(g.order, pairs) == g
+
+
+@st.composite
+def small_graphs(draw, max_order=5):
+    p = draw(st.integers(1, max_order))
+    edges = draw(st.sets(st.sampled_from(all_possible_edges(p)), max_size=2 * p))
+    return Graph(p, frozenset(edges))
+
+
+@st.composite
+def small_digraphs(draw, max_order=5):
+    p = draw(st.integers(1, max_order))
+    arcs = draw(st.sets(st.tuples(st.integers(1, p), st.integers(1, p)), max_size=2 * p))
+    return Digraph(p, frozenset(arcs))
+
+
+# spine leaf counts for the caterpillar, and for the deer where palindromic
+SPECS = [[0], [1], [3], [1, 0, 1], [0, 2, 0], [2, 1, 2], [1, 0, 2], [0, 1, 1, 0]]
+
+
+class TestBuiltPairsPassTheCheck:
+    """Every graph the package builds from checked data skips the
+    constructors' check; its pairs pass that check unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name):
+        arg_names, build, _ = FAMILIES[name]
+        if arg_names == ("spec",):
+            grid = [(spec,) for spec in SPECS]
+        else:
+            grid = itertools.product(range(5), repeat=len(arg_names))
+        built = 0
+        for args in grid:
+            try:
+                result = build(*args)
+            except BadParam:
+                continue
+            assert_passes_the_check(getattr(result, "graph", result))
+            built += 1
+        assert built
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_graphs(), min_size=1, max_size=3), st.integers(0, 3))
+    def test_union_and_corona(self, parts, n):
+        union = disjoint_union(parts)
+        assert_passes_the_check(union)
+        assert_passes_the_check(corona(union, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_digraphs(), st.randoms(use_true_random=False))
+    def test_underlying_and_relabel(self, d, rng):
+        names = list(range(1, d.order + 1))
+        rng.shuffle(names)
+        assert_passes_the_check(underlying(d))
+        assert_passes_the_check(relabel_digraph(d, VertexLabeling(names)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_orientation(self, rng):
+        assert_passes_the_check(indegree_one_orientation(random_indegree_one_graph(rng)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_products_over_snk(self, n, rng):
+        host = indegree_one_orientation(random_indegree_one_graph(rng, max_order=6))
+        for k in range(2, n + 2):
+            family = enumerate_snk(n, k)
+            for member in family:
+                assert_passes_the_check(member)
+            assignment = {arc: rng.randrange(len(family)) for arc in host.arcs}
+            product = otimes_h(host, assignment, family)
+            assert_passes_the_check(product)
+            assert_passes_the_check(underlying(product))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_census_class_graphs(self, p):
+        for g, _ in census_equal_order_size(p):
+            assert_passes_the_check(g)

@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -81,8 +82,25 @@ class TestLabeledFamily:
         with pytest.raises(ValueError):
             LabeledFamily(2, 3, (Digraph(2, [(1, 2), (2, 1)]),))
 
+    def test_rejects_a_member_that_is_not_a_digraph(self):
+        # otimes_h builds on the members' arcs unchecked; these have the
+        # right order, size and sums but an endpoint outside [1, 2]
+        member = SimpleNamespace(order=2, size=2, arcs=frozenset({(0, 2), (1, 3)}))
+        with pytest.raises(ValueError, match="^member 0 is a SimpleNamespace, not a Digraph$"):
+            LabeledFamily(2, 2, (member,))
+
 
 class TestOtimesH:
+    @pytest.mark.parametrize("n, message", [
+        (2.0, "digraph order must be an integer, got 4.0"),
+        (0, "digraph order must be positive, got 0"),
+    ])
+    def test_rejects_a_family_order_that_is_not_positive_int(self, n, message):
+        # a family with no members checks nothing of n
+        with pytest.raises(ValueError) as info:
+            otimes_h(Digraph(2, []), {}, LabeledFamily(n, 2, ()))
+        assert str(info.value) == message
+
     def test_loop_host_reproduces_member(self):
         prod = otimes_h(LOOP_D, {(1, 1): 0}, S22)
         assert prod == S22[0]

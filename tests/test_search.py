@@ -506,6 +506,12 @@ class TestEnumerateSnk:
         with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
             enumerate_snk(0, 2)
 
+    @pytest.mark.parametrize("n, k", [(True, 2), (2.0, 2), (2, 2.0), ("2", 2)])
+    def test_non_integer_rejected(self, n, k):
+        # n becomes the members' order, which nothing checks after this
+        with pytest.raises(ValueError, match="^n and k must be integers, got n="):
+            enumerate_snk(n, k)
+
 
 @cache
 def _census(k: int) -> list:
