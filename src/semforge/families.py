@@ -56,17 +56,15 @@ def star_with_loop(n: int) -> Graph:
     if n < 0:
         raise BadParam(f"star_with_loop needs n >= 0, got {n}")
     check_build_bound(n + 1)
-    edges = {(1, 1)}
-    edges.update((1, j) for j in range(2, n + 2))
-    return _checked(Graph, n + 1, frozenset(edges))
+    return _checked(Graph, n + 1, frozenset([(1, j) for j in range(1, n + 2)]))
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise BadParam(f"cycle needs k >= 3, got {k}")
     check_build_bound(k)
-    edges = {(i, i + 1) for i in range(1, k)}
-    edges.add((1, k))
+    edges = [(i, i + 1) for i in range(1, k)]
+    edges.append((1, k))
     return _checked(Graph, k, frozenset(edges))
 
 
@@ -75,6 +73,13 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
 
     Leaves are numbered after the whole spine, grouped by spine position.
     """
+    edges = _caterpillar_edges(counts)
+    return _checked(Graph, len(edges) + 1, frozenset(edges))
+
+
+def _caterpillar_edges(counts: Sequence[int]) -> list:
+    """The edge list of ``caterpillar_graph(counts)``, a tree, spine edges
+    first; its leaf counts and order are checked first."""
     counts = list(counts)
     for c in counts:
         if type(c) is not int:
@@ -85,10 +90,10 @@ def caterpillar_graph(counts: Sequence[int]) -> Graph:
     if any(c < 0 for c in counts):
         raise BadParam("leaf counts must be non-negative")
     check_build_bound(t + sum(counts))
-    edges = {(i, i + 1) for i in range(1, t)}
+    edges = [(i, i + 1) for i in range(1, t)]
     for i, leaves in enumerate(_leaf_ids(counts), start=1):
-        edges.update((i, leaf) for leaf in leaves)
-    return _checked(Graph, t + sum(counts), frozenset(edges))
+        edges += [(i, leaf) for leaf in leaves]
+    return edges
 
 
 def _leaf_ids(counts: Sequence[int]) -> list:
@@ -211,7 +216,7 @@ def build_deer(spec: Sequence[int]) -> CertifiedLabeledGraph:
     """Deer graph: caterpillar with palindromic odd spine plus a central loop.
 
     ``spec`` is the leaf counts along the spine; the centre c = (t+1)/2 of
-    the spine carries the loop.  ``caterpillar_graph`` checks that they are
+    the spine carries the loop.  ``_caterpillar_edges`` checks that they are
     non-negative integers.
 
     The labeling is the caterpillar's sweep labeling, whose edge sums are
@@ -226,9 +231,10 @@ def build_deer(spec: Sequence[int]) -> CertifiedLabeledGraph:
         raise BadParam("deer spine length must be odd and at least 1")
     if counts != counts[::-1]:
         raise BadParam("leaf counts must be palindromic")
-    cat = caterpillar_graph(counts)
+    edges = _caterpillar_edges(counts)
     center = (len(counts) + 1) // 2
-    graph = _checked(Graph, cat.order, cat.edges | {(center, center)})
+    edges.append((center, center))  # a tree and a loop: order equals size
+    graph = _checked(Graph, len(edges), frozenset(edges))
     tag = "deer(" + ",".join(str(c) for c in counts) + ")"
     return _certify(graph, _caterpillar_sweep(counts), tag)
 

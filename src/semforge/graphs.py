@@ -2,8 +2,9 @@
 
 Vertices are named 1..p throughout, so a vertex, its position in a labeling
 vector, and its row index in an adjacency matrix can be used interchangeably.
-Edge sets make multi-edges unrepresentable; loops are allowed.  All types are
-immutable after construction and every operation is a pure function.
+Edge sets make multi-edges unrepresentable; loops are allowed, and ``_edges``
+orders each edge ``u <= v``.  All types are immutable after construction and
+every operation is a pure function.
 
 Input from outside the package is checked once: by the reader of the
 edge-list format, or by the ``Graph`` and ``Digraph`` constructors.  The
@@ -31,7 +32,7 @@ DEFAULT_ISO_ORDER_BOUND = 512
 DEFAULT_ISO_NODE_BUDGET = 10_000_000
 DEFAULT_CANONICAL_ORDER_BOUND = 10
 MATRIX_ORDER_BOUND = 2000  # p * p cells of about 16 bytes each: 64 MB at the bound
-# construct and product: at most about 370 MiB and 9 s of CPU at the bound (2-vCPU VM)
+# construct and product: at most about 480 MiB and 6.5 s of CPU at the bound (2-vCPU VM)
 BUILD_ORDER_BOUND = 1_000_000
 
 
@@ -153,17 +154,17 @@ def check_build_bound(count: int, what: str = "order") -> None:
         raise ResourceLimit(f"construction bound is {what} <= {BUILD_ORDER_BOUND}, got {count}")
 
 
-def _edge(pair: tuple) -> Edge:
-    """The edge joining the two vertices of ``pair``, ordered ``u <= v``; an
-    ordered pair is returned as it is."""
-    return pair if pair[0] <= pair[1] else (pair[1], pair[0])
+def _edges(pairs) -> list:
+    """The edges joining the two vertices of each of ``pairs``, each ordered
+    ``u <= v``; an ordered pair is kept as the same object."""
+    return [e if e[0] <= e[1] else (e[1], e[0]) for e in pairs]
 
 
 def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
     """The edge (``kind="edge"``) or arc set of a graph of the given order.
 
     Every member must be a pair of ``int`` vertices in [1, order]; ``bool`` is
-    not a vertex.  Edges are normalised by ``_edge``.  A frozenset of tuples
+    not a vertex.  Edges are normalised by ``_edges``.  A frozenset of tuples
     that needs no normalising is kept as it is, not copied.  This is the check
     of pairs given to the public constructors; pairs that the package reads
     or builds itself are checked by the reader or valid by construction, and
@@ -188,7 +189,7 @@ def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
         elif u < 1 or v > order:
             outside = True
     if unsorted and kind == "edge":
-        pairs = frozenset(map(_edge, pairs))
+        pairs = frozenset(_edges(pairs))
     if outside:
         _raise_outside(pairs, order, kind)
     return pairs
@@ -233,7 +234,7 @@ def underlying(d: Digraph) -> Graph:
     """
     edges = d.arcs
     if any(itertools.starmap(operator.gt, edges)):
-        edges = frozenset(map(_edge, edges))
+        edges = frozenset(_edges(edges))
     return _checked(Graph, d.order, edges)
 
 
@@ -246,7 +247,7 @@ def relabel_digraph(d: Digraph, labeling: "VertexLabeling") -> Digraph:
     names = labeling.labels
     if len(names) != d.order:
         raise ValueError(f"labeling has {len(names)} labels but the digraph has order {d.order}")
-    return _checked(Digraph, d.order, frozenset((names[a - 1], names[b - 1]) for a, b in d.arcs))
+    return _checked(Digraph, d.order, frozenset([(names[a - 1], names[b - 1]) for a, b in d.arcs]))
 
 
 def indegree_one_orientation(g: Graph) -> Digraph:
@@ -271,7 +272,7 @@ def indegree_one_orientation(g: Graph) -> Digraph:
         names = [0, *sorted(touched)]
         rank = {v: i for i, v in enumerate(names)}
         # rank is increasing, so each renamed edge stays ordered
-        g = _checked(Graph, len(names) - 1, frozenset((rank[u], rank[v]) for u, v in g.edges))
+        g = _checked(Graph, len(names) - 1, frozenset([(rank[u], rank[v]) for u, v in g.edges]))
     n = g.order
     adj, loop = nbhd = _neighbourhoods(g)
     deg = _degrees(nbhd)
@@ -415,7 +416,7 @@ def canonical_form(g: Graph) -> Graph:
         raise ResourceLimit(f"canonical form bound is order <= {DEFAULT_CANONICAL_ORDER_BOUND}")
     best = None
     for perm in itertools.permutations(range(1, g.order + 1)):
-        img = tuple(sorted(_edge((perm[u - 1], perm[v - 1])) for u, v in g.edges))
+        img = tuple(sorted(_edges([(perm[u - 1], perm[v - 1]) for u, v in g.edges])))
         if best is None or img < best:
             best = img
     return Graph(g.order, frozenset(best))
@@ -425,10 +426,10 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union with components numbered consecutively in input order."""
     if not graphs:
         raise ValueError("disjoint_union needs at least one component")
-    edges = set()
+    edges = []
     off = 0
     for g in graphs:
-        edges.update((u + off, v + off) for u, v in g.edges)
+        edges += [(u + off, v + off) for u, v in g.edges]
         off += g.order
     return _checked(Graph, off, frozenset(edges))
 
@@ -442,11 +443,8 @@ def corona(g: Graph, n: int) -> Graph:
     if n < 0:
         raise ValueError("corona requires n >= 0")
     p = g.order
-    edges = set(g.edges)
-    for v in range(1, p + 1):
-        for j in range(1, n + 1):
-            edges.add((v, p + (v - 1) * n + j))
-    return _checked(Graph, p * (n + 1), frozenset(edges))
+    pendants = [(v, p + (v - 1) * n + j) for v in range(1, p + 1) for j in range(1, n + 1)]
+    return _checked(Graph, p * (n + 1), g.edges.union(pendants))
 
 
 # --- edge-list text format ----------------------------------------------------
@@ -459,7 +457,10 @@ def _content_lines(text: str) -> list[str]:
     """The lines of a text file that hold something: each with its ``#``
     comment and surrounding whitespace cut, blank ones dropped.  An error
     about a line quotes it in this form."""
-    return [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return [line for raw in lines if (line := raw.strip())]
 
 
 def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int, frozenset]:
@@ -467,7 +468,7 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
 
     With ``directed=None`` the kind is read off the header, three fields
     making a digraph; a bool requires that kind.  Edges are normalised by
-    ``_edge``.  A malformed header or pair line is quoted in the error.  Each
+    ``_edges``.  A malformed header or pair line is quoted in the error.  Each
     pair is range-checked as it is read; after the line count, the pair lines
     and duplicates, the order must be positive and then the smallest pair
     with an endpoint outside [1, p] is named: for a digraph, the arc as
@@ -499,7 +500,7 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
         if not (0 < u <= p and 0 < v <= p):
             inside = False
         pairs.append((u, v))
-    found = frozenset(pairs if directed else map(_edge, pairs))
+    found = frozenset(pairs if directed else _edges(pairs))
     if len(found) != q:
         raise ValueError(f"duplicate {what} in {kind} file")
     _check_order(p, kind)
@@ -523,11 +524,11 @@ def parse_graph_or_digraph(text: str) -> Union[Graph, Digraph]:
 
 def format_graph(g: Graph) -> str:
     out = [f"{g.order} {g.size}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges)
+    out += [f"{u} {v}" for u, v in g.sorted_edges]
     return "\n".join(out) + "\n"
 
 
 def format_digraph(d: Digraph) -> str:
     out = [f"{d.order} {d.size} d"]
-    out.extend(f"{a} {b}" for a, b in d.sorted_arcs)
+    out += [f"{a} {b}" for a, b in d.sorted_arcs]
     return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NotSem, VerificationFailed
-from .graphs import AdjacencyMatrix, Graph, _edge
+from .graphs import AdjacencyMatrix, Graph, _edges
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import CertifiedLabeledGraph
@@ -79,7 +79,8 @@ class FullLabeling:
 
     def __post_init__(self):
         vl = tuple(self.vertex_labels)
-        el = [(_edge((u, v)), lab) for (u, v), lab in self.edge_labels]
+        labelled = [((u, v), lab) for (u, v), lab in self.edge_labels]
+        el = list(zip(_edges([e for e, _ in labelled]), [lab for _, lab in labelled]))
         for kind, labels in (("vertex", vl), ("edge", [lab for _, lab in el])):
             if not set(map(type, labels)) <= {int}:
                 bad = next(x for x in labels if type(x) is not int)

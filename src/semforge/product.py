@@ -106,19 +106,21 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     if len(assignment) != len(host_arcs):
         extra = sorted(arc for arc in assignment if arc not in host.arcs)
         raise BadAssignment(f"assignment names arcs not in the host: {extra}")
-    arcs = set()
-    for arc in host_arcs:  # in sorted order, so the smallest bad arc is named
-        idx = assignment[arc]
-        a, b = arc
+    for a, b in host_arcs:  # in sorted order, so the smallest bad arc is named
+        idx = assignment[a, b]
         if not 0 <= idx < len(members):
             raise BadAssignment(
                 f"assignment maps arc ({a},{b}) to member {idx}, "
                 f"but the family has {len(members)} members"
             )
-        da, db = n * (a - 1), n * (b - 1)
-        arcs.update([(da + i, db + j) for i, j in members[idx].arcs])
     # the arcs are valid only for a positive int n, which the family does not check
     _check_order(order, "digraph")
+    arcs = [
+        (da + i, db + j)
+        for a, b in host_arcs
+        for da, db in [(n * (a - 1), n * (b - 1))]
+        for i, j in members[assignment[a, b]].arcs
+    ]
     return _checked(Digraph, order, frozenset(arcs))
 
 

@@ -15,7 +15,7 @@ from semforge.graphs import (
     Graph,
     _components,
     _degrees,
-    _edge,
+    _edges,
     _neighbourhoods,
     _twins,
     adjacency_matrix,
@@ -497,9 +497,9 @@ class TestUnionAndCorona:
 
 def test_edge_orders_a_pair():
     pair = (1, 2)
-    assert _edge(pair) is pair
-    assert _edge((2, 1)) == (1, 2)
-    assert _edge((3, 3)) == (3, 3)
+    edges = _edges([pair, (2, 1), (3, 3)])
+    assert edges == [(1, 2), (1, 2), (3, 3)]
+    assert edges[0] is pair
 
 
 class TestRelabelDigraph:

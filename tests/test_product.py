@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semforge import families, graphs
@@ -206,6 +206,38 @@ class TestOtimesH:
             assignment = {arc: rng.randrange(len(fam)) for arc in host.arcs}
             prod = otimes_h(host, assignment, fam)
             assert _indegrees_all_one(prod)
+
+
+@st.composite
+def hosts_with_assignments(draw):
+    """A host digraph of order at most 4, loops and antiparallel arcs
+    allowed, and an assignment of its arcs into one S_n^k with n <= 3."""
+    p = draw(st.integers(1, 4))
+    vertices = st.integers(1, p)
+    arcs = draw(st.sets(st.tuples(vertices, vertices), max_size=2 * p))
+    n = draw(st.integers(1, 3))
+    family = enumerate_snk(n, draw(st.integers(2, n + 1)))
+    members = st.integers(0, len(family) - 1)
+    assignment = {arc: draw(members) for arc in sorted(arcs)}
+    return Digraph(p, arcs), assignment, family
+
+
+class TestOtimesHMixedAssignments:
+    @settings(max_examples=200, deadline=None)
+    @given(hosts_with_assignments())
+    @example((Digraph(2, [(1, 1), (1, 2), (2, 1)]), {(1, 1): 0, (1, 2): 5, (2, 1): 3},
+              enumerate_snk(3, 3)))
+    def test_arcs_are_the_definition(self, case):
+        host, assignment, family = case
+        n = family.n
+        expected = {
+            (n * (a - 1) + i, n * (b - 1) + j)
+            for (a, b), idx in assignment.items()
+            for i, j in family[idx].arcs
+        }
+        prod = otimes_h(host, assignment, family)
+        assert prod.order == host.order * n
+        assert prod.arcs == expected
 
 
 class TestKronecker:
