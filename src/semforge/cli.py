@@ -28,7 +28,6 @@ from .graphs import (
     format_graph,
     indegree_one_orientation,
     parse_graph_or_digraph,
-    underlying,
 )
 from .labelings import (
     VertexLabeling,
@@ -114,9 +113,7 @@ def _read(path: str, what: str, parse):
 def _graph(text: str) -> Graph:
     """The graph of a graph file's text; a digraph file's text gives its
     underlying graph."""
-    directed, p, pairs = _read_edge_list(text)
-    del text  # a 20,000-pair text is freed before its graph is built
-    return underlying(_checked(Digraph, p, pairs)) if directed else _checked(Graph, p, pairs)
+    return _checked(Graph, *_read_edge_list(text, as_graph=True)[1:])
 
 
 def _load_graph(path: str) -> Graph:

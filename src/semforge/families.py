@@ -9,18 +9,21 @@ input.
 
 Component layout convention: components are numbered in the order the family
 name lists them, each component holding its center first and then its leaves,
-so outputs are deterministic and golden-file friendly.  A loop-star union's
-labels are therefore each component's [center, leaves...] labels, joined in
-the order of its ``disjoint_union`` call; the docstrings state them that way.
+so outputs are deterministic and golden-file friendly.  A loop-star union is
+built in one pass by ``_loop_stars``, which numbers its components that way,
+so its labels are each component's [center, leaves...] labels, joined in the
+order of the leaf counts given to ``_loop_stars``; the docstrings state them
+that way.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import BadParam
-from .graphs import Graph, _checked, check_build_bound, disjoint_union
+from .graphs import Graph, _checked, check_build_bound
 from .labelings import SumWindow, VertexLabeling, verified_window
 
 
@@ -56,7 +59,17 @@ def star_with_loop(n: int) -> Graph:
     if n < 0:
         raise BadParam(f"star_with_loop needs n >= 0, got {n}")
     check_build_bound(n + 1)
-    return _checked(Graph, n + 1, frozenset([(1, j) for j in range(1, n + 2)]))
+    return _loop_stars([n])
+
+
+def _loop_stars(counts: Sequence[int]) -> Graph:
+    """The disjoint union of the loop-stars ``star_with_loop(c)`` for c in
+    ``counts``, its edge set built in one pass: components in order, each
+    numbered center first and then its leaves.  The caller checks the counts
+    and the order."""
+    centers = list(itertools.accumulate([c + 1 for c in counts], initial=1))
+    edges = [(u, v) for u, nxt in itertools.pairwise(centers) for v in range(u, nxt)]
+    return _checked(Graph, centers[-1] - 1, frozenset(edges))
 
 
 def cycle_graph(k: int) -> Graph:
@@ -130,7 +143,7 @@ def build_two_lk1m_lk1n(m: int, n: int) -> CertifiedLabeledGraph:
     if m < 1 or n < 1:
         raise BadParam(f"need m, n >= 1, got m={m}, n={n}")
     check_build_bound(2 * m + n + 3)
-    graph = disjoint_union([star_with_loop(m), star_with_loop(m), star_with_loop(n)])
+    graph = _loop_stars([m, m, n])
     raw = [3, 6, *range(0, 2 - 2 * m, -2)]
     raw += [5, 2, *range(-1, 1 - 2 * m, -2)]
     raw += [4, 1, *range(7, n + 6)]
@@ -150,7 +163,7 @@ def build_odd_copies_lk1n(s: int, n: int) -> CertifiedLabeledGraph:
         raise BadParam(f"need s >= 0 and n >= 1, got s={s}, n={n}")
     copies = 2 * s + 1
     check_build_bound(copies * (n + 1))
-    graph = disjoint_union([star_with_loop(n)] * copies)
+    graph = _loop_stars([n] * copies)
     labels = []
     for i in range(1, copies + 1):
         c = s + i
@@ -174,9 +187,7 @@ def build_mixed_loop_stars(m: int, n: int, s: int) -> CertifiedLabeledGraph:
     if m < 1 or n < 1 or s < 1:
         raise BadParam(f"need m, n, s >= 1, got m={m}, n={n}, s={s}")
     check_build_bound(m + 2 * n + 4 * s + 3)
-    comps = [star_with_loop(m), star_with_loop(n), star_with_loop(n)]
-    comps.extend([star_with_loop(1)] * (2 * s))
-    graph = disjoint_union(comps)
+    graph = _loop_stars([m, n, n, *[1] * (2 * s)])
     cc = 2 * s + 3
     raw = [cc, *range(2 * cc, 2 * cc + m)]
     raw += [cc - 1, 2 * cc - 1, *range(0, 2 - 2 * n, -2)]

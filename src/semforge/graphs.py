@@ -10,7 +10,9 @@ Input from outside the package is checked once: by the reader of the
 edge-list format, or by the ``Graph`` and ``Digraph`` constructors.  The
 readers, the operations here and the package's builders form their pairs
 from data already checked, so they build through ``_checked`` and skip the
-constructors' second pass.
+constructors' second pass.  A digraph file read as a graph gives its edge
+set directly, built once; duplicates are still judged on the arcs as
+written.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ DEFAULT_ISO_ORDER_BOUND = 512
 DEFAULT_ISO_NODE_BUDGET = 10_000_000
 DEFAULT_CANONICAL_ORDER_BOUND = 10
 MATRIX_ORDER_BOUND = 2000  # p * p cells of about 16 bytes each: 64 MB at the bound
-# construct and product: at most about 480 MiB and 6.5 s of CPU at the bound (2-vCPU VM)
+# construct and product: at most about 440 MiB and 6 s of CPU at the bound (2-vCPU VM)
 BUILD_ORDER_BOUND = 1_000_000
 
 
@@ -463,16 +465,21 @@ def _content_lines(text: str) -> list[str]:
     return [line for raw in lines if (line := raw.strip())]
 
 
-def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int, frozenset]:
+def _read_edge_list(
+    text: str, directed: bool | None = None, *, as_graph: bool = False
+) -> tuple[bool, int, frozenset]:
     """``(directed, p, pairs)`` of a graph or digraph file's text, checked.
 
     With ``directed=None`` the kind is read off the header, three fields
     making a digraph; a bool requires that kind.  Edges are normalised by
-    ``_edges``.  A malformed header or pair line is quoted in the error.  Each
-    pair is range-checked as it is read; after the line count, the pair lines
-    and duplicates, the order must be positive and then the smallest pair
-    with an endpoint outside [1, p] is named: for a digraph, the arc as
-    written.  The pairs are then valid for ``_checked``.
+    ``_edges``.  With ``as_graph`` a digraph file's pairs are its underlying
+    graph's edges, one set built once: antiparallel arcs give one edge, and
+    duplicates are still judged on the arcs as written.  A malformed header
+    or pair line is quoted in the error.  Each pair is range-checked as it is
+    read; after the line count, the pair lines and duplicates, the order must
+    be positive and then the smallest pair with an endpoint outside [1, p] is
+    named: for a digraph file, the arc as written.  The pairs are then valid
+    for ``_checked``.
     """
     lines = _content_lines(text)
     if not lines:
@@ -500,12 +507,14 @@ def _read_edge_list(text: str, directed: bool | None = None) -> tuple[bool, int,
         if not (0 < u <= p and 0 < v <= p):
             inside = False
         pairs.append((u, v))
-    found = frozenset(pairs if directed else _edges(pairs))
-    if len(found) != q:
+    found = frozenset(pairs if directed and not as_graph else _edges(pairs))
+    # q edges from q arcs: no arc is repeated and none is antiparallel;
+    # only fewer edges call for the set of the arcs as written
+    if len(found) != q and not (directed and as_graph and len(frozenset(pairs)) == q):
         raise ValueError(f"duplicate {what} in {kind} file")
     _check_order(p, kind)
     if not inside:
-        _raise_outside(found, p, what)
+        _raise_outside(pairs if directed else found, p, what)
     return directed, p, found
 
 

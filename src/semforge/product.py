@@ -27,9 +27,11 @@ from .families import (
 from .graphs import (
     Arc,
     Digraph,
+    Graph,
     _check_order,
     _checked,
     _content_lines,
+    _edges,
     check_build_bound,
     corona,
     format_digraph,
@@ -92,8 +94,18 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
     and (i,j) an arc of the member assigned to it.
 
     Product vertex (a, i) is encoded as n(a-1)+i, so outputs are deterministic.
-    Its order and size are checked against ``BUILD_ORDER_BOUND`` first.
+    Its order and size are checked against ``BUILD_ORDER_BOUND`` first.  The
+    arcs are built and checked by ``_product_arcs``.
     """
+    order, arcs = _product_arcs(host, assignment, family)
+    return _checked(Digraph, order, frozenset(arcs))
+
+
+def _product_arcs(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily):
+    """``(order, arcs)`` of ``otimes_h(host, assignment, family)``, the arcs a
+    list, after every check of ``otimes_h``: the build bound, the assignment's
+    coverage of the host arcs and its member indices, and the product's
+    order."""
     n = family.n
     order = host.order * n
     check_build_bound(order)
@@ -121,7 +133,14 @@ def otimes_h(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily
         for da, db in [(n * (a - 1), n * (b - 1))]
         for i, j in members[assignment[a, b]].arcs
     ]
-    return _checked(Digraph, order, frozenset(arcs))
+    return order, arcs
+
+
+def _product_graph(host: Digraph, assignment: Mapping[Arc, int], family: LabeledFamily) -> Graph:
+    """The underlying graph of ``otimes_h(host, assignment, family)``, its
+    edge set built once from the product's arc list, with no ``Digraph``."""
+    order, arcs = _product_arcs(host, assignment, family)
+    return _checked(Graph, order, frozenset(_edges(arcs)))
 
 
 def kronecker(d1: Digraph, d2: Digraph) -> Digraph:
@@ -145,11 +164,13 @@ def canonical_product_labeling(
     Returns the underlying graph of the product built with ``assignment``
     (constant to member 0 when omitted) with its block labeling, verified
     once; the induced sum multiset is the same for every assignment into the
-    family, so one verified product certifies them all.  The certificate's
-    window is ``None`` when the product has no edges.  Raises ``NotSem`` if
-    the host labeling is not SEM on the host's arcs (no labeling is when two
-    arcs are antiparallel, as their sums are equal), ``ValueError`` for an
-    empty family and ``VerificationFailed`` if the verifier rejects.
+    family, so one verified product certifies them all.  The graph's edges
+    are frozen once from the product's arc list by ``_product_graph``; no
+    product ``Digraph`` is built.  The certificate's window is ``None`` when
+    the product has no edges.  Raises ``NotSem`` if the host labeling is not
+    SEM on the host's arcs (no labeling is when two arcs are antiparallel, as
+    their sums are equal), ``ValueError`` for an empty family and
+    ``VerificationFailed`` if the verifier rejects.
     """
     base = underlying(host)
     ok, _ = is_sem(base, host_labeling)
@@ -160,7 +181,7 @@ def canonical_product_labeling(
         raise ValueError("family has no members")
     if assignment is None:
         assignment = constant_assignment(host)
-    product = underlying(otimes_h(host, assignment, family))
+    product = _product_graph(host, assignment, family)
     n = family.n
     # product vertex n(a-1)+i gets label n(f(a)-1)+i, in vertex order
     labeling = VertexLabeling(
@@ -176,7 +197,7 @@ def corona_iso_check(k: int, n: int) -> bool:
     host = indegree_one_orientation(cycle_graph(k))
     member = indegree_one_orientation(star_with_loop(n))
     family = LabeledFamily(n + 1, 2, (member,))
-    product = underlying(otimes_h(host, constant_assignment(host), family))
+    product = _product_graph(host, constant_assignment(host), family)
     return isomorphic(product, corona(cycle_graph(k), n))
 
 
@@ -203,7 +224,7 @@ def corona_union_via_product(family: str, **params):
     if k % 2 == 1:
         lifted = canonical_product_labeling(host, odd_cycle_labeling(k), fam)
         return lifted.graph, lifted.labeling
-    return underlying(otimes_h(host, constant_assignment(host), fam)), None
+    return _product_graph(host, constant_assignment(host), fam), None
 
 
 # --- family directory format ----------------------------------------------------

@@ -34,8 +34,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import ResourceLimit, VerificationFailed
-from .families import star_with_loop
-from .graphs import Digraph, Graph, _checked, _degrees, _neighbourhoods, _twins, disjoint_union
+from .families import _loop_stars
+from .graphs import Digraph, Graph, _checked, _degrees, _neighbourhoods, _twins
 from .labelings import VertexLabeling, verified_window
 from .product import LabeledFamily
 
@@ -794,6 +794,6 @@ def explore_even_copies(s: int, n: int, budget: ResourceBudget | None = None) ->
     if s < 1 or n < 1:
         raise ValueError(f"need s, n >= 1, got s={s}, n={n}")
     _check_order_bound(2 * s * (n + 1), "first")  # before the graph is built
-    g = disjoint_union([star_with_loop(n)] * (2 * s))
+    g = _loop_stars([n] * (2 * s))
     return find_sem(g, "first", budget)
 

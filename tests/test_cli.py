@@ -254,6 +254,9 @@ class TestDigraphFileAsGraph:
     @pytest.mark.parametrize("command", ["verify", "complement"])
     @pytest.mark.parametrize("text, message", [
         ("2 2 d\n1 2\n1 2\n", "duplicate arc in digraph file"),
+        # beside an antiparallel pair, a repeated arc is still a duplicate
+        ("2 3 d\n1 2\n2 1\n1 2\n", "duplicate arc in digraph file"),
+        ("2 3 d\n2 1\n1 2\n3 1\n", "arc (3,1) has an endpoint outside [1,2]"),
         # the smallest arc as written is named, not the smallest edge
         ("2 3 d\n1 2\n3 1\n2 5\n", "arc (2,5) has an endpoint outside [1,2]"),
         ("2 2 d\n1 2\n0 1\n", "arc (0,1) has an endpoint outside [1,2]"),
@@ -281,15 +284,17 @@ class TestDigraphFileAsGraph:
         gpath.write_text(format_digraph(otimes_h(host, constant_assignment(host), family)))
         lpath.write_text(json.dumps({"labels": list(lifted.labels)}))
         # the reader checks the file's pairs once: one Graph is built from
-        # them, the constructors' check never runs, and is_sem runs once
+        # them, with no Digraph and no underlying call in between, the
+        # constructors' check never runs, and is_sem runs once
         built = count_calls(monkeypatch, _checked)
         rechecked = count_calls(monkeypatch, _vertex_pairs)
+        normalised = count_calls(monkeypatch, underlying)
         verified = count_calls(monkeypatch, is_sem)
         result = runner.invoke(main, ["verify", "--graph", str(gpath), "--labeling", str(lpath)])
         assert result.exit_code == 0
         assert json.loads(result.output)["sem"] is True
-        assert [args[0] for args in built].count(Graph) == 1
-        assert (len(rechecked), len(verified)) == (0, 1)
+        assert [args[0] for args in built] == [Graph]
+        assert (len(rechecked), len(normalised), len(verified)) == (0, 0, 1)
 
     def test_antiparallel_arcs_are_one_edge(self, runner, tmp_path):
         gpath = tmp_path / "d.txt"
@@ -398,8 +403,9 @@ class TestProductCommand:
         gpath.write_text(format_graph(cycle_graph(5)))
         lpath = tmp_path / "c5lab.json"
         lpath.write_text(json.dumps({"p": 5, "labels": list(host_lab.labels)}))
-        products = count_calls(monkeypatch, otimes_h)
-        normalised = count_calls(monkeypatch, underlying)
+        # the product's pairs are frozen once, into its graph: no product
+        # Digraph is built, and is_sem runs once on the product
+        built = count_calls(monkeypatch, _checked)
         verified = count_calls(monkeypatch, is_sem)
         result = runner.invoke(main, [
             "product", "--graph", str(gpath), "--snk", "3,3", "--member", "1",
@@ -407,8 +413,7 @@ class TestProductCommand:
         ])
         assert result.exit_code == 0
         assert json.loads(result.output) == expected
-        assert len(products) == 1
-        assert len([args for args in normalised if args[0].order == 15]) == 1
+        assert [args[0] for args in built if args[1] == 15] == [Graph]
         assert len([args for args in verified if args[0].order == 15]) == 1
 
     def test_labeling_is_one_lift(self, runner, tmp_path, monkeypatch):

@@ -3,12 +3,15 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semforge import families, graphs
 from semforge.errors import BadParam, ResourceLimit
 from semforge.families import (
     FAMILIES,
     CertifiedLabeledGraph,
+    _loop_stars,
     build_deer,
     build_mixed_loop_stars,
     build_odd_copies_lk1n,
@@ -21,6 +24,7 @@ from semforge.families import (
     odd_cycle_labeling,
     star_with_loop,
 )
+from semforge.graphs import Graph, disjoint_union
 from semforge.labelings import VertexLabeling, complement, is_sem
 
 
@@ -278,6 +282,13 @@ class TestPrimitives:
         g = star_with_loop(3)
         assert (g.order, g.size) == (4, 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_loop_stars_are_the_union_of_stars(self, counts):
+        stars = [star_with_loop(c) for c in counts]
+        assert stars == [Graph(c + 1, [(1, j) for j in range(1, c + 2)]) for c in counts]
+        assert _loop_stars(counts) == disjoint_union(stars)
+
     def test_cycle_counts(self):
         g = cycle_graph(5)
         assert (g.order, g.size) == (5, 5)
@@ -433,5 +444,6 @@ class TestBuildBound:
             raise AssertionError("a star was built above the bound")
 
         monkeypatch.setattr(families, "star_with_loop", no_star)
+        monkeypatch.setattr(families, "_loop_stars", no_star)
         with pytest.raises(ResourceLimit, match="construction bound is order <= 12"):
             construct_family(name, params)

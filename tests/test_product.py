@@ -33,6 +33,7 @@ from semforge.graphs import (
 from semforge.labelings import VertexLabeling, identity_labeling, is_sem
 from semforge.product import (
     LabeledFamily,
+    _product_graph,
     canonical_product_labeling,
     constant_assignment,
     corona_union_via_product,
@@ -238,6 +239,14 @@ class TestOtimesHMixedAssignments:
         prod = otimes_h(host, assignment, family)
         assert prod.order == host.order * n
         assert prod.arcs == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(hosts_with_assignments())
+    def test_lift_graph_is_the_underlying_product(self, case):
+        # the lift freezes the product's edges straight from its arc list
+        host, assignment, family = case
+        lifted = _product_graph(host, assignment, family)
+        assert lifted == underlying(otimes_h(host, assignment, family))
 
 
 class TestKronecker:

@@ -826,10 +826,10 @@ class TestExplore:
 
     def test_order_bound_before_build(self, monkeypatch):
         # 2s(n+1) = 30 > 24: the bound fires before the graph is built
-        def no_build(graphs):
+        def no_build(counts):
             raise AssertionError("built a graph the order bound rejects")
 
-        monkeypatch.setattr("semforge.search.disjoint_union", no_build)
+        monkeypatch.setattr("semforge.search._loop_stars", no_build)
         with pytest.raises(ResourceLimit, match="order 30 exceeds the first-mode bound 24"):
             explore_even_copies(3, 4)
 
