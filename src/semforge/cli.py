@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from . import search as search_mod
 from .errors import NoSuchOrientation, ResourceLimit
@@ -244,8 +243,8 @@ def search_cmd(graph_path, mode, node_budget, timeout, out):
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--cross-check/--no-cross-check", default=False,
-              help="Re-run unpruned enumeration as a soundness check; order <= 8 only, "
-                   "a larger graph exits 3.")
+              help="Re-run unpruned enumeration as a soundness check; order <= "
+                   f"{search_mod.CROSS_CHECK_ORDER_BOUND} only, a larger graph exits 3.")
 @_budget_options
 @click.option("--out", default=None)
 def certify(graph_path, cross_check, node_budget, timeout, out):
@@ -261,25 +260,29 @@ def certify(graph_path, cross_check, node_budget, timeout, out):
 @click.option("--snk", default=None, help="N,K — enumerate the family instead of loading one.")
 @click.option("--assignment", "assignment_path", default=None,
               help="File of 'a b member_index' lines; default assigns every arc --member.")
-@click.option("--member", type=int, default=0, show_default=True,
-              help="Member index of every arc; not with --assignment.")
+@click.option("--member", type=int, default=None,
+              help="Member index of every arc, 0 if not given; not with --assignment.")
 @click.option("--host-labeling", "host_labeling_path", default=None)
 @click.option("--emit", "emit_what", type=click.Choice(["digraph", "labeling"]), default="digraph")
 @click.option("--out", default=None)
 def product(host_path, family_dir, snk, assignment_path, member, host_labeling_path,
             emit_what, out):
     """Build the arc-selected product of a host digraph with a labeled family."""
-    host = _load_digraph(host_path)
+    # every option misuse is refused before any file is read
     if (family_dir is None) == (snk is None):
         raise click.UsageError("give exactly one of --family-dir or --snk")
-    member_given = click.get_current_context().get_parameter_source("member")
-    if assignment_path is not None and member_given is not ParameterSource.DEFAULT:
+    if assignment_path is not None and member is not None:
         raise click.UsageError("give --member or --assignment, not both")
+    if emit_what == "digraph" and host_labeling_path is not None:
+        raise click.UsageError("--host-labeling needs --emit labeling")
+    if emit_what == "labeling" and host_labeling_path is None:
+        raise click.UsageError("--emit labeling needs --host-labeling")
     if snk is not None:
         try:
             n, k = (int(x) for x in snk.split(","))
         except ValueError:
             raise click.UsageError(f"--snk must be two integers N,K, got {snk!r}")
+    host = _load_digraph(host_path)
     if family_dir is not None:
         try:
             family = load_family(family_dir)
@@ -294,18 +297,15 @@ def product(host_path, family_dir, snk, assignment_path, member, host_labeling_p
     if assignment_path is not None:
         assignment = _read(assignment_path, "bad assignment file", parse_assignment)
     else:
+        member = member or 0
         if not 0 <= member < len(family.members):
             raise click.UsageError(
                 f"--member {member} is outside the family, which has {len(family.members)} members"
             )
         assignment = constant_assignment(host, member)
     if emit_what == "digraph":
-        if host_labeling_path is not None:
-            raise click.UsageError("--host-labeling needs --emit labeling")
         _emit(format_digraph(otimes_h(host, assignment, family)), out)
         return
-    if host_labeling_path is None:
-        raise click.UsageError("--emit labeling needs --host-labeling")
     lifted = canonical_product_labeling(
         host, _load_labeling(host_labeling_path), family, assignment
     )

@@ -18,7 +18,6 @@ written.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -165,34 +164,27 @@ def _edges(pairs) -> list:
 def _vertex_pairs(pairs, order: int, kind: str) -> frozenset:
     """The edge (``kind="edge"``) or arc set of a graph of the given order.
 
-    Every member must be a pair of ``int`` vertices in [1, order]; ``bool`` is
-    not a vertex.  Edges are normalised by ``_edges``.  A frozenset of tuples
-    that needs no normalising is kept as it is, not copied.  This is the check
-    of pairs given to the public constructors; pairs that the package reads
-    or builds itself are checked by the reader or valid by construction, and
-    skip it through ``_checked``.
+    Any iterable of pairs is read alike: each member is made a tuple, and
+    must be a pair of ``int`` vertices in [1, order]; ``bool`` is not a
+    vertex.  Edges are normalised by ``_edges``, and the smallest pair with an
+    endpoint outside [1, order] is named.  This is the check of pairs given
+    to the public constructors; pairs that the package reads or builds itself
+    are checked by the reader or valid by construction, and skip it through
+    ``_checked``.
     """
-    if type(pairs) is not frozenset:
-        try:
-            pairs = frozenset(map(tuple, pairs))
-        except TypeError as exc:
-            raise ValueError(f"{kind}s must be pairs of vertices: {exc}") from exc
-    unsorted = outside = False
+    try:
+        pairs = frozenset(map(tuple, pairs))
+    except TypeError as exc:
+        raise ValueError(f"{kind}s must be pairs of vertices: {exc}") from exc
     for e in pairs:
-        if type(e) is not tuple or len(e) != 2:
+        if len(e) != 2:
             raise ValueError(f"{kind}s must be pairs of vertices, got {e!r}")
         u, v = e
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"vertices must be integers, got {kind} {e!r}")
-        if u > v:
-            unsorted = True
-            if v < 1 or u > order:
-                outside = True
-        elif u < 1 or v > order:
-            outside = True
-    if unsorted and kind == "edge":
+    if kind == "edge":
         pairs = frozenset(_edges(pairs))
-    if outside:
+    if not all(0 < u <= order and 0 < v <= order for u, v in pairs):
         _raise_outside(pairs, order, kind)
     return pairs
 
@@ -229,15 +221,8 @@ class AdjacencyMatrix:
 
 
 def underlying(d: Digraph) -> Graph:
-    """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops.
-
-    A digraph whose arcs are all ordered ``a <= b`` shares its arc set with
-    the graph.
-    """
-    edges = d.arcs
-    if any(itertools.starmap(operator.gt, edges)):
-        edges = frozenset(_edges(edges))
-    return _checked(Graph, d.order, edges)
+    """Forget orientation: arcs (a,b) and (b,a) collapse to one edge, loops stay loops."""
+    return _checked(Graph, d.order, frozenset(_edges(d.arcs)))
 
 
 def relabel_digraph(d: Digraph, labeling: "VertexLabeling") -> Digraph:

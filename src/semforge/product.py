@@ -231,7 +231,8 @@ def corona_union_via_product(family: str, **params):
 #
 # A family lives in a directory holding one digraph edge-list file per member
 # plus family.json: {"n": int, "k": int, "members": [filename, ...]}; a member
-# is a plain file name in that directory, never a path out of it.
+# is a plain file name in that directory that resolves inside it, so neither
+# its name nor a symbolic link leads out of it.
 # Assignment files pair host arcs with 0-based member indices, one
 # "a b member_index" line per arc; comments and blank lines are read as in an
 # edge list.
@@ -263,9 +264,12 @@ def load_family(directory: str | Path) -> LabeledFamily:
         raise ValueError(f"family n and k must be integers, got n={n!r}, k={k!r}")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ValueError(f"family members must be a list of file names, got {names!r}")
+    inside = directory.resolve()
     for name in names:
         if name in ("", "..") or Path(name).name != name:
             raise ValueError(f"family member {name!r} is not a file name inside {directory}")
+        if not (directory / name).resolve().is_relative_to(inside):
+            raise ValueError(f"family member {name!r} resolves outside {directory}")
     members = []
     for name in names:
         text = (directory / name).read_text()

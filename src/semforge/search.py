@@ -44,10 +44,11 @@ EXHAUSTED = "exhausted"
 ABORTED = "aborted"
 
 DEFAULT_ORDER_BOUND = 24
-DEFAULT_ORDER_BOUND_ALL = 12
+DEFAULT_ORDER_BOUND_ALL = 9  # no symmetry cut: up to p! witnesses, about 4 s and 95 MiB at 9
 DEFAULT_CERTIFY_BOUND = 100  # the largest order CI exhausts through certify_not_sem
 CROSS_CHECK_ORDER_BOUND = 8  # the unpruned enumerator scans up to p! bijections
 SNK_ORDER_BOUND = 5
+CENSUS_ORDER_BOUND = 9
 DEFAULT_NODE_BUDGET = 10**9
 
 
@@ -593,14 +594,15 @@ def census_equal_order_size(p: int, budget: ResourceBudget | None = None) -> lis
     ``budget.max_nodes``.  ``budget.max_seconds`` bounds the whole census,
     read at the first labeled SEM graph and at every 1024th after it, after
     each shape's sweep and at each new class.  Past it the census raises
-    ``ResourceLimit``, and so does p > 9 (order 9 takes 14–22 s of CPU).
+    ``ResourceLimit``, and so does p > ``CENSUS_ORDER_BOUND`` (order 9 takes
+    14–22 s of CPU).
     """
     if type(p) is not int:
         raise ValueError(f"census order must be an integer, got {p!r}")
-    if p > 9:
-        raise ResourceLimit("census bound is order <= 9")
+    if p > CENSUS_ORDER_BOUND:
+        raise ResourceLimit(f"census bound is order <= {CENSUS_ORDER_BOUND}")
     if p < 1:
-        raise ValueError(f"census supports 1 <= p <= 9, got {p}")
+        raise ValueError(f"census supports 1 <= p <= {CENSUS_ORDER_BOUND}, got {p}")
     budget = budget or ResourceBudget()
     deadline = time.monotonic() + budget.max_seconds
     pool = [(u, v) for u in range(1, p + 1) for v in range(u, p + 1)]

@@ -40,7 +40,7 @@ from semforge.product import (
     otimes_h,
     save_family,
 )
-from semforge.search import enumerate_snk
+from semforge.search import CROSS_CHECK_ORDER_BOUND, enumerate_snk
 
 
 @pytest.fixture
@@ -362,6 +362,10 @@ class TestCertifyCommand:
         assert result.exit_code == 1
         assert json.loads(result.output)["outcome"] == "exhausted"
 
+    def test_help_states_the_cross_check_bound(self, runner):
+        result = runner.invoke(main, ["certify", "--help"])
+        assert f"order <= {CROSS_CHECK_ORDER_BOUND} only" in " ".join(result.output.split())
+
 
 class TestProductCommand:
     def test_digraph_output(self, runner, tmp_path):
@@ -586,6 +590,23 @@ class TestProductCommand:
         hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
         result = runner.invoke(main, ["product", "--graph", str(hpath)])
         assert result.exit_code == 2
+
+    def test_family_member_symlink_outside_directory(self, runner, tmp_path):
+        hpath = tmp_path / "host.txt"
+        hpath.write_text(format_digraph(indegree_one_orientation(cycle_graph(3))))
+        (tmp_path / "outside.txt").write_text("1 1 d\n1 1\n")
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "m.txt").symlink_to(Path("..") / "outside.txt")
+        (fam / "family.json").write_text(json.dumps({"n": 1, "k": 2, "members": ["m.txt"]}))
+        with pytest.raises(ValueError, match=r"^family member 'm.txt' resolves outside "):
+            load_family(fam)
+        result = runner.invoke(main, ["product", "--graph", str(hpath), "--family-dir", str(fam)])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            f"Error: cannot load family {fam / 'family.json'}: "
+            f"family member 'm.txt' resolves outside {fam}"
+        )
 
 
     @pytest.mark.parametrize("snk", ["2,2,2", "a,b", ""])
@@ -947,6 +968,25 @@ class TestExitCodeContract:
         _row("product-order-bound", ["product", "--graph", "d.txt", "--snk", "2,3"],
              {"d.txt": "1000000000 1 d\n1 1\n"},
              3, "construction bound is order <= 1000000, got 2000000000"),
+        # every option misuse is refused before any file is read: none of
+        # these files exists
+        _row("product-misuse-no-source", ["product", "--graph", "missing.txt"], {},
+             2, "Error: give exactly one of --family-dir or --snk"),
+        _row("product-misuse-two-sources",
+             ["product", "--graph", "missing.txt", "--family-dir", "fam", "--snk", "2,2"], {},
+             2, "Error: give exactly one of --family-dir or --snk"),
+        _row("product-misuse-member-and-assignment",
+             ["product", "--graph", "missing.txt", "--snk", "2,2", "--member", "0",
+              "--assignment", "a.txt"], {},
+             2, "Error: give --member or --assignment, not both"),
+        _row("product-misuse-host-labeling-with-digraph",
+             ["product", "--graph", "missing.txt", "--snk", "2,2", "--host-labeling", "l.json"],
+             {}, 2, "Error: --host-labeling needs --emit labeling"),
+        _row("product-misuse-no-host-labeling",
+             ["product", "--graph", "missing.txt", "--snk", "2,2", "--emit", "labeling"], {},
+             2, "Error: --emit labeling needs --host-labeling"),
+        _row("product-misuse-snk-one-integer", ["product", "--graph", "missing.txt", "--snk", "2"],
+             {}, 2, "Error: --snk must be two integers N,K, got '2'"),
         _row("census-order-0", ["census", "--order", "0"], {},
              2, "Error: census supports 1 <= p <= 9, got 0"),
         _row("census-order-10", ["census", "--order", "10"], {}, 3, "census bound is order <= 9"),

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +54,41 @@ def orientation_outcome(orient, g):
     except NoSuchOrientation as exc:
         return f"NoSuchOrientation: {exc}"
     return getattr(result, "arcs", result)
+
+
+_Pair = namedtuple("_Pair", "u v")
+
+# the same pairs in each container the constructors read
+_PAIR_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda pairs: (e for e in pairs),
+    "namedtuple list": lambda pairs: [_Pair(*e) for e in pairs],
+    "namedtuple frozenset": lambda pairs: frozenset(_Pair(*e) for e in pairs),
+}
+
+
+def construction_outcome(cls, order, pairs):
+    """The ``cls`` built on ``pairs``, or the message of its ``ValueError``."""
+    try:
+        return cls(order, pairs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def pair_collections(draw):
+    """An order of at most 6 and a list of pairs of ints in [0, order + 1],
+    with at most one pair holding a value that is not an int vertex."""
+    order = draw(st.integers(1, 6))
+    vertex = st.integers(0, order + 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * order))
+    if draw(st.booleans()):
+        odd = [draw(st.sampled_from([True, 1.5, "1", None])), draw(vertex)]
+        pairs.insert(draw(st.integers(0, len(pairs))), tuple(draw(st.permutations(odd))))
+    return order, pairs
 
 
 @st.composite
@@ -162,12 +197,24 @@ class TestConstruction:
         assert Graph(3, [[2, 1], [3, 3]]).edges == frozenset({(1, 2), (3, 3)})
         assert Digraph(2, [[2, 1]]).arcs == frozenset({(2, 1)})
 
-    def test_normalised_frozenset_kept(self):
+    def test_normalised_frozenset_equal(self):
         edges = frozenset({(1, 2), (2, 2)})
-        assert Graph(2, edges).edges is edges
+        assert Graph(2, edges).edges == edges
         arcs = frozenset({(2, 1)})
-        assert Digraph(2, arcs).arcs is arcs
+        assert Digraph(2, arcs).arcs == arcs
         assert Graph(2, arcs).edges == frozenset({(1, 2)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_collections())
+    @example((2, [(1, 2)]))  # once refused as a frozenset of namedtuples
+    def test_one_answer_per_pair_collection(self, case):
+        # every container of the same pairs gives the same graph, or the
+        # same error; at most one pair is not of ints, so the error is unique
+        order, pairs = case
+        for cls in (Graph, Digraph):
+            outcomes = {form: construction_outcome(cls, order, make(pairs))
+                        for form, make in _PAIR_FORMS.items()}
+            assert len(set(outcomes.values())) == 1, outcomes
 
     def test_out_of_range_names_smallest_pair(self):
         with pytest.raises(ValueError, match=r"edge \(1,9\) has an endpoint outside \[1,3\]"):
@@ -214,9 +261,9 @@ class TestUnderlying:
         d = Digraph(3, [(1, 1), (1, 2), (1, 3)])
         assert underlying(d) == star_with_loop(2)
 
-    def test_ordered_arcs_are_not_copied(self):
+    def test_ordered_arcs_give_equal_edges(self):
         d = Digraph(3, [(1, 1), (1, 2), (2, 3)])
-        assert underlying(d).edges is d.arcs
+        assert underlying(d).edges == d.arcs
 
 
 class TestIndegreeOneOrientation:

@@ -103,6 +103,22 @@ class TestFindSem:
         with pytest.raises(ResourceLimit):
             find_sem(Graph(30, [(1, 1)] + [(1, v) for v in range(2, 30)]))
 
+    def test_all_mode_bound_before_search(self, monkeypatch):
+        # every bijection of star_with_loop(n) is a witness: order 10 would
+        # keep 3,628,800 of them, order 9 keeps 362,880
+        searched = []
+
+        def no_search(g, mode, max_nodes, deadline):
+            searched.append(g.order)
+            return EXHAUSTED, [], 0
+
+        monkeypatch.setattr("semforge.search._sem_backtrack", no_search)
+        with pytest.raises(ResourceLimit, match=r"^order 10 exceeds the all-mode bound 9$"):
+            find_sem(star_with_loop(9), "all")
+        assert searched == []
+        assert find_sem(star_with_loop(8), "all").outcome == EXHAUSTED
+        assert searched == [9]
+
     def test_node_budget_aborts(self):
         report = find_sem(TWO_STARS, budget=ResourceBudget(max_nodes=3))
         assert report.outcome == ABORTED
