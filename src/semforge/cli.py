@@ -3,7 +3,7 @@
 Exit codes separate the four kinds of endings so shell pipelines can tell an
 answered "no" from a failure to answer: 0 success or witness, 1 negative
 mathematical result (not SEM / exhausted / not compliant), 2 usage error,
-malformed input or internal error, 3 resource limit.
+malformed input or internal error, 3 resource limit or interrupt.
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ def _spec_list(text: str | None):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out file {out}: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -143,44 +146,54 @@ def _budget_options(command):
     return click.option("--node-budget", type=int, default=ResourceBudget.max_nodes)(command)
 
 
-def _labeling_report(g: Graph, labeling: VertexLabeling, out: str | None) -> None:
-    """Emit the labeling JSON of a labeling of g and exit by its sem flag."""
+def _labeling_report(g: Graph, labeling: VertexLabeling, out: str | None) -> int:
+    """Emit the labeling JSON of a labeling of g; return its sem flag's exit code."""
     data = labeling_json(g, labeling)
     _emit(json.dumps(data) + "\n", out)
-    sys.exit(0 if data["sem"] else EXIT_NEGATIVE)
+    return 0 if data["sem"] else EXIT_NEGATIVE
 
 
-def _report(report, out: str | None) -> None:
-    """Emit a search report and exit by its outcome."""
+def _report(report, out: str | None) -> int:
+    """Emit a search report; return the exit code of its outcome."""
     _emit(json.dumps(report_json(report)) + "\n", out)
-    sys.exit({"witness": 0, "exhausted": EXIT_NEGATIVE, "aborted": EXIT_LIMIT}[report.outcome])
+    return {"witness": 0, "exhausted": EXIT_NEGATIVE, "aborted": EXIT_LIMIT}[report.outcome]
 
 
 class _Command(click.Command):
-    """Keeps every ending inside the exit-code contract.
+    """Ends every command, inside the exit-code contract.
 
-    A command that returns exits 0.  Click's exceptions and ``sys.exit`` pass
-    through.  ``ResourceLimit`` exits 3 with its message on stderr.
-    ``ValueError`` (``BadParam``, ``BadAssignment`` and ``NotSem`` too) is
-    malformed input: a usage error, exit 2.  Any other exception, a failed
-    self-check (``VerificationFailed``) among them, is an internal error,
-    printed as ``error: <Type>: <message>``; it exits 2 so it can never read
-    as a witness (0) or a negative result (1).
+    A command returns its exit code, or ``None`` for 0.  Click's exceptions
+    pass through.  ``ResourceLimit`` exits 3 with its message on stderr, and
+    an interrupt exits 3 with ``interrupted``: either way the run stopped
+    before an answer.  ``ValueError`` (``BadParam``, ``BadAssignment`` and
+    ``NotSem`` too) is malformed input: a usage error, exit 2.  Any other
+    exception, a failed self-check (``VerificationFailed``) or ``MemoryError``
+    among them, is an internal error, printed as ``error: <Type>: <message>``;
+    it exits 2 so it can never read as a witness (0) or a negative result (1).
+    The one ``sys.exit`` follows the handlers, so no traceback keeps the
+    failed command's frames alive as the process ends.
     """
 
     def invoke(self, ctx):
+        usage = None
         try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            code = super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit):
             raise
         except ResourceLimit as exc:
             click.echo(str(exc), err=True)
-            sys.exit(EXIT_LIMIT)
+            code = EXIT_LIMIT
         except ValueError as exc:
-            raise click.UsageError(str(exc), ctx)
+            usage = click.UsageError(str(exc), ctx)
+        except (KeyboardInterrupt, click.Abort):
+            click.echo("interrupted", err=True)
+            code = EXIT_LIMIT
         except Exception as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
+            code = EXIT_USAGE
+        if usage is not None:
+            raise usage
+        sys.exit(code or 0)
 
 
 class _Main(click.Group):
@@ -226,7 +239,7 @@ def construct(family_name, params, spec, fmt, out):
 @click.option("--out", default=None)
 def verify(graph_path, labeling_path, out):
     """Check a vertex labeling for the consecutive-sum certificate."""
-    _labeling_report(_load_graph(graph_path), _load_labeling(labeling_path), out)
+    return _labeling_report(_load_graph(graph_path), _load_labeling(labeling_path), out)
 
 
 @main.command("search")
@@ -237,7 +250,7 @@ def verify(graph_path, labeling_path, out):
 def search_cmd(graph_path, mode, node_budget, timeout, out):
     """Search for a super edge-magic labeling."""
     g = _load_graph(graph_path)
-    _report(search_mod.find_sem(g, mode, ResourceBudget(node_budget, timeout)), out)
+    return _report(search_mod.find_sem(g, mode, ResourceBudget(node_budget, timeout)), out)
 
 
 @main.command()
@@ -251,7 +264,7 @@ def certify(graph_path, cross_check, node_budget, timeout, out):
     """Exhaust the search space; exit 1 reports a non-existence certificate."""
     g = _load_graph(graph_path)
     budget = ResourceBudget(node_budget, timeout)
-    _report(search_mod.certify_not_sem(g, budget, cross_check=cross_check), out)
+    return _report(search_mod.certify_not_sem(g, budget, cross_check=cross_check), out)
 
 
 @main.command()
@@ -332,7 +345,7 @@ def census(order_, node_budget, timeout, out):
 @click.option("--out", default=None)
 def complement_cmd(graph_path, labeling_path, out):
     """Emit the complementary labeling x -> p+1-f(x), re-verified on the graph."""
-    _labeling_report(_load_graph(graph_path), complement(_load_labeling(labeling_path)), out)
+    return _labeling_report(_load_graph(graph_path), complement(_load_labeling(labeling_path)), out)
 
 
 @main.command()
@@ -357,7 +370,7 @@ def matrix(graph_path, labeling_path, rotate, profile_, out):
             "compliant": prof.compliant,
         }
         _emit(json.dumps(payload) + "\n", out)
-        sys.exit(0 if prof.compliant else EXIT_NEGATIVE)
+        return 0 if prof.compliant else EXIT_NEGATIVE
     _emit("\n".join(mat.row_strings()) + "\n", out)
 
 
@@ -374,7 +387,7 @@ def explore(params, node_budget, timeout, out):
         extra = ", ".join(sorted(set(values) - {"s", "n"}))
         raise click.UsageError(f"explore takes only s and n, not {extra}")
     budget = ResourceBudget(node_budget, timeout)
-    _report(search_mod.explore_even_copies(values["s"], values["n"], budget), out)
+    return _report(search_mod.explore_even_copies(values["s"], values["n"], budget), out)
 
 
 if __name__ == "__main__":  # pragma: no cover

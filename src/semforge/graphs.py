@@ -339,7 +339,11 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     histograms differ.  A vertex starts with its loop flag and its number of
     other neighbours; a loop needs no entry among the neighbours, since the
     flag is already part of the vertex's own colour.  The backtracking then
-    maps g's half onto h's half, vertices of the smallest colour class first.
+    maps g's half onto h's half, vertices of the smallest colour class first;
+    a vertex's images share its colour, and so its loop flag.  Each candidate
+    image costs 1 plus one adjacency test per vertex already mapped, and
+    ``ResourceLimit`` is raised once the work passes
+    ``DEFAULT_ISO_NODE_BUDGET``, so the budget bounds the time.
     """
     if g.order > DEFAULT_ISO_ORDER_BOUND or h.order > DEFAULT_ISO_ORDER_BOUND:
         raise ResourceLimit(f"isomorphism bound is order <= {DEFAULT_ISO_ORDER_BOUND}")
@@ -367,25 +371,25 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     )
     mapping = {}
     used = set()
-    nodes = 0
+    work = 0
 
     def extend(idx: int) -> bool:
-        nonlocal nodes
+        nonlocal work
         if idx == len(order_vs):
             return True
         v = order_vs[idx]
         for w in by_color[colour[v]]:
             if w in used:
                 continue
-            nodes += 1
-            if nodes > DEFAULT_ISO_NODE_BUDGET:
+            work += 1 + len(mapping)
+            if work > DEFAULT_ISO_NODE_BUDGET:
                 raise ResourceLimit("isomorphism node budget exhausted")
             ok = True
             for u, wu in mapping.items():
                 if (u in nbrs[v]) != (wu in nbrs[w]):
                     ok = False
                     break
-            if ok and loop[v] == loop[w]:
+            if ok:
                 mapping[v] = w
                 used.add(w)
                 if extend(idx + 1):

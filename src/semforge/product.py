@@ -19,6 +19,7 @@ from .errors import BadAssignment, BadParam, NotSem
 from .families import (
     FAMILIES,
     CertifiedLabeledGraph,
+    _certify,
     construct_family,
     cycle_graph,
     odd_cycle_labeling,
@@ -41,7 +42,7 @@ from .graphs import (
     relabel_digraph,
     underlying,
 )
-from .labelings import VertexLabeling, is_sem, verified_window
+from .labelings import VertexLabeling, is_sem
 
 
 @dataclass(frozen=True)
@@ -184,11 +185,8 @@ def canonical_product_labeling(
     product = _product_graph(host, assignment, family)
     n = family.n
     # product vertex n(a-1)+i gets label n(f(a)-1)+i, in vertex order
-    labeling = VertexLabeling(
-        tuple([n * (f - 1) + i for f in host_labeling.labels for i in range(1, n + 1)])
-    )
-    window = verified_window(product, labeling, "block labeling of the product")
-    return CertifiedLabeledGraph(product, labeling, window, "otimes_h block labeling")
+    labels = [n * (f - 1) + i for f in host_labeling.labels for i in range(1, n + 1)]
+    return _certify(product, labels, "otimes_h block labeling")
 
 
 def corona_iso_check(k: int, n: int) -> bool:

@@ -203,9 +203,8 @@ def _sem_backtrack(g: Graph, mode: str, max_nodes: int, deadline: float):
     degree between ``dmin[t+1]`` and ``dmax[t+1]`` (``_degree_tables``), so
     q·s + q(q-1)/2 lies in [P + dmin[t+1]·U, P + dmax[t+1]·U] once position
     t is placed.  That interval narrows [a, b] after a label passes its row,
-    and the label dies when the range empties.  It cannot cut when all
-    degrees are equal (Σ deg·f is then the same for every bijection), nor
-    without edges, so it is skipped there.
+    and the label dies when the range empties.  A graph without edges has no
+    window, so it is skipped there.
 
     Once the range is one start s, every sum of [s, s+q-1] not yet made
     must be made by an edge that is still open, one with an end after t.
@@ -261,7 +260,7 @@ def _sem_backtrack(g: Graph, mode: str, max_nodes: int, deadline: float):
             for u, w in itertools.pairwise(cls):
                 twin_prev[pos[w]] = pos[u]
     dv, dmin, dmax = _degree_tables(deg, verts)
-    degree_bound = q > 0 and dmin[0] != dmax[0]  # a regular graph always meets it
+    degree_bound = q > 0
     base = q * (q - 1) // 2
     window = (1 << q) - 1
     mirror_top = 2 * p + 2

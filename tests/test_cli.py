@@ -1,10 +1,13 @@
+import gc
 import json
 import math
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -994,6 +997,10 @@ class TestExitCodeContract:
              2, "Error: node budget must be an integer >= 0, got -1"),
         _row("census-zero-budget", ["census", "--order", "3", "--node-budget", "0"], {},
              3, "census node budget exhausted"),
+        # --out is user input: a path that cannot be written is a usage error
+        _row("census-out-unwritable", ["census", "--order", "2", "--out", "no/dir/x.jsonl"], {},
+             2, "Error: cannot write --out file no/dir/x.jsonl: "
+                "[Errno 2] No such file or directory: 'no/dir/x.jsonl'"),
     ])
     def test_row(self, runner, tmp_path, monkeypatch, args, files, code, last):
         monkeypatch.chdir(tmp_path)
@@ -1031,6 +1038,36 @@ class TestExitCodeContract:
         assert result.output.startswith("error: VerificationFailed: ")
         assert result.output.endswith(" rejected by is_sem\n")
         assert "Usage:" not in result.output
+
+    def test_internal_error_frees_the_command(self, runner, two_stars_file, monkeypatch):
+        # the process exits after the handler, so no traceback keeps the
+        # failed command's frames, or what they hold, alive while it ends
+        class Held:
+            pass
+
+        held = []
+
+        def broken(*args, **kwargs):
+            data = Held()
+            held.append(weakref.ref(data))
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("semforge.search.find_sem", broken)
+        result = runner.invoke(main, ["search", "--graph", str(two_stars_file)])
+        assert (result.exit_code, result.output) == (2, "error: RuntimeError: boom\n")
+        assert result.exc_info[1].__context__ is None
+        gc.collect()
+        assert held[0]() is None
+
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, click.Abort])
+    def test_interrupt_exits_three(self, runner, two_stars_file, monkeypatch, stop):
+        # an interrupted run has no answer: a limit, never a negative result
+        def interrupted(*args, **kwargs):
+            raise stop
+
+        monkeypatch.setattr("semforge.search.find_sem", interrupted)
+        result = runner.invoke(main, ["search", "--graph", str(two_stars_file)])
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", "interrupted\n")
 
     def test_every_command_keeps_the_contract(self):
         assert main.commands

@@ -476,12 +476,20 @@ class TestIsomorphic:
 
     def test_node_budget(self, monkeypatch):
         # refinement leaves C6 and C3 ⊔ C3 in one colour class: only the
-        # backtracking, which counts its nodes, tells them apart
-        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 100)
+        # backtracking, which counts its work, tells them apart.  Its work is
+        # 210: one unit per candidate plus one per adjacency test
+        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 210)
         assert not isomorphic(cycles(6), cycles(3, 3))
-        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 10)
+        monkeypatch.setattr(graphs, "DEFAULT_ISO_NODE_BUDGET", 209)
         with pytest.raises(ResourceLimit, match="^isomorphism node budget exhausted$"):
             isomorphic(cycles(6), cycles(3, 3))
+
+    def test_budget_fires_at_the_order_bound(self):
+        # a budget of candidates alone let this pair run for minutes, since
+        # each candidate costs up to 511 adjacency tests; charged per test,
+        # the default budget stops it in about a second
+        with pytest.raises(ResourceLimit, match="^isomorphism node budget exhausted$"):
+            isomorphic(cycles(256, 256), cycles(512))
 
 
 class TestCanonicalForm:

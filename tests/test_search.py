@@ -143,6 +143,15 @@ class TestFindSem:
             find_sem(loop_graph(), "everything")
 
 
+def _cycle_unions(p: int, least: int = 1):
+    """The lists of part sizes, ascending, that sum to p with no part 2."""
+    if p == 0:
+        yield []
+    for k in range(least, p + 1):
+        if k != 2:
+            yield from ([k, *rest] for rest in _cycle_unions(p - k, k))
+
+
 class TestNodeCounts:
     """Node counts are deterministic and hardware-independent.  A change to
     the search order or its pruning changes them, and must update these pins
@@ -187,6 +196,42 @@ class TestNodeCounts:
     def test_looped_graphs_every_mode(self, graph, mode, outcome, nodes, witnesses):
         report = find_sem(graph, mode)
         assert (report.outcome, report.nodes, report.witness_count) == (outcome, nodes, witnesses)
+
+    # every 2-regular (p,p)-graph, p <= 8, is a union of cycles and looped
+    # vertices ("1"); the per-depth degree-sum bound applies to them too but
+    # cannot cut.  Outcome, nodes in first, canonical and all mode, all-mode
+    # witnesses and certify nodes; every class not listed has no admissible
+    # window, so each mode ends exhausted at 0 nodes
+    REGULAR = {
+        "1": (WITNESS, 1, 1, 1, 1, 1),
+        "1+1+1": (EXHAUSTED, 2, 2, 3, 0, 2),
+        "3": (WITNESS, 3, 3, 15, 6, 3),
+        "1+1+1+1+1": (EXHAUSTED, 3, 3, 5, 0, 3),
+        "1+1+3": (EXHAUSTED, 8, 8, 17, 0, 8),
+        "1+4": (WITNESS, 7, 7, 85, 16, 7),
+        "5": (WITNESS, 8, 8, 103, 10, 8),
+        "1+1+1+1+1+1+1": (EXHAUSTED, 4, 4, 7, 0, 4),
+        "1+1+1+1+3": (EXHAUSTED, 13, 13, 35, 0, 13),
+        "1+1+1+4": (EXHAUSTED, 13, 13, 35, 0, 13),
+        "1+1+5": (WITNESS, 13, 13, 207, 20, 13),
+        "1+3+3": (WITNESS, 130, 130, 519, 72, 130),
+        "1+6": (WITNESS, 13, 13, 555, 24, 13),
+        "3+4": (EXHAUSTED, 128, 128, 219, 0, 128),
+        "7": (WITNESS, 11, 11, 1541, 126, 11),
+    }
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_regular_graphs_every_mode(self, p):
+        for parts in _cycle_unions(p):
+            name = "+".join(map(str, parts))
+            g = disjoint_union([loop_graph() if k == 1 else cycle_graph(k) for k in parts])
+            first, canonical, every, cert = (
+                *(find_sem(g, mode) for mode in ("first", "canonical", "all")), certify_not_sem(g)
+            )
+            assert all(r.outcome == first.outcome for r in (canonical, every, cert)), name
+            got = (first.outcome, first.nodes, canonical.nodes, every.nodes,
+                   every.witness_count, cert.nodes)
+            assert got == self.REGULAR.get(name, (EXHAUSTED, 0, 0, 0, 0, 0)), name
 
 
 class TestResourceBudget:
